@@ -71,15 +71,15 @@ const std::vector<ProtocolInfo>& all_protocols() {
           return std::make_unique<ProtocolDProcess>(cfg, self);
         },
         .make_proc_param = {},
-        // The run's t processes share one agreement merge cache (a pure
-        // memoization of the round's collective view fold -- protocol_d.h
-        // documents why results are bit-identical with and without it).
+        // The run's t processes share one agreement round fold (a summary
+        // of each round's broadcasts -- protocol_d.h documents why results
+        // are bit-identical with and without it).
         .make_procs = [](const DoAllConfig& cfg) {
-          auto cache = std::make_shared<AgreeMergeCache>();
+          auto fold = std::make_shared<AgreeRoundFold>(cfg);
           std::vector<std::unique_ptr<IProcess>> procs;
           procs.reserve(static_cast<std::size_t>(cfg.t));
           for (int i = 0; i < cfg.t; ++i)
-            procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+            procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold));
           return procs;
         }});
     v.push_back(ProtocolInfo{
@@ -106,11 +106,10 @@ std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
 
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg,
-                                                      std::optional<std::int64_t> param,
-                                                      bool shared_state) {
+                                                      std::optional<std::int64_t> param) {
   if (param && !info.make_proc_param)
     throw std::invalid_argument("protocol " + info.name + " takes no parameter");
-  if (!param && shared_state && info.make_procs) return info.make_procs(cfg);
+  if (!param && info.make_procs) return info.make_procs(cfg);
   std::vector<std::unique_ptr<IProcess>> procs;
   procs.reserve(static_cast<std::size_t>(cfg.t));
   for (int i = 0; i < cfg.t; ++i)

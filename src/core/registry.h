@@ -29,9 +29,9 @@ struct ProtocolInfo {
   std::function<std::unique_ptr<IProcess>(const DoAllConfig&, int self, std::int64_t param)>
       make_proc_param;
   // Whole-run factory for protocols whose processes share run-scoped state
-  // (Protocol D's agreement merge cache -- a pure memoization shared by the
-  // t sibling processes of ONE run, never across runs or threads).  When
-  // set, make_processes uses this instead of t make_proc calls.
+  // (Protocol D's agreement round fold -- a thread-safe summary shared by
+  // the t sibling processes of ONE run, never across runs).  When set,
+  // make_processes uses this instead of t make_proc calls.
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
 };
 
@@ -43,18 +43,14 @@ const ProtocolInfo& find_protocol(const std::string& name);
 
 // Instantiate the full process vector for a run.  `param` selects the
 // parameterized factory (make_proc_param) when set; protocols without one
-// reject a param loudly rather than silently ignoring it.
-// `shared_state` selects whether the whole-run factory (make_procs) may be
-// used.  The live thread substrate passes false: run-scoped shared caches
-// (Protocol D's merge cache) assume single-threaded, ascending-id serving,
-// and the cache-free processes are pinned metric-identical anyway
-// (protocol_d_test), so independent construction is the thread-safe and
-// observably-equal choice.
+// reject a param loudly rather than silently ignoring it.  Without a param
+// the whole-run factory (make_procs) is used when the protocol has one, on
+// every backend: Protocol D's shared fold serves any evaluation order and
+// thread, and a socket worker's envelope-mode inbox simply never reaches it.
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg);
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg,
-                                                      std::optional<std::int64_t> param,
-                                                      bool shared_state = true);
+                                                      std::optional<std::int64_t> param);
 
 }  // namespace dowork

@@ -4,110 +4,82 @@
 
 namespace dowork {
 
-bool AgreeMergeCache::fold(int self, const Round& round, int phase,
-                           const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                           DynBitset& tn) {
-  return lane_for_this_thread().fold(self, round, phase, seen, sn, tn);
+const AgreeMsg* AgreeRoundFold::View::adoptable(int self) const {
+  std::size_t i = done.find_next(0);
+  if (i == static_cast<std::size_t>(self)) i = done.find_next(i + 1);
+  return i < done.size() ? by_sender[i] : nullptr;
 }
 
-AgreeMergeCache::Lane& AgreeMergeCache::lane_for_this_thread() {
-  // A handful of pool threads at most: linear search under the table mutex
-  // beats a hash map here, and the fold itself then runs lock-free on the
-  // caller's own lane.
-  const std::thread::id me = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (auto& entry : lanes_) {
-    if (entry.first == me) return *entry.second;
-  }
-  lanes_.emplace_back(me, std::make_unique<Lane>());
-  return *lanes_.back().second;
+bool AgreeRoundFold::has_phase(const Round& round, const std::vector<DeliveryRecord>& ledger,
+                               int phase) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return phase_of(round, ledger, phase) != nullptr;
 }
 
-bool AgreeMergeCache::Lane::fold(int self, const Round& round, int phase,
-                                 const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                                 DynBitset& tn) {
-  const int t = static_cast<int>(seen.size());
-  if (seen[static_cast<std::size_t>(self)] != nullptr) return false;  // never hears itself
-  if (!active_ || round_ != round) {
-    // New round: pin the collective view from this (lane-lowest) requester --
-    // its own slot stays undefined, a later requester's prefix advance pins
-    // it -- and build the suffix folds.  Requesters below the pinning self
-    // can never hit the fast path (their own slot check below rejects them),
-    // so the suffix table is only built above it: the serial lane pays the
-    // classic full build, shard lanes only their own id range.  All buffers
-    // are reused round over round, so a generation costs at most t view
-    // merges and no steady-state allocation.
-    active_ = true;
+const AgreeRoundFold::View* AgreeRoundFold::view(const Round& round,
+                                                 const std::vector<DeliveryRecord>& ledger,
+                                                 int self, int phase) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Phase* ph = phase_of(round, ledger, phase);
+  if (ph == nullptr || ph->duplicate || !ph->reached_by_all.test(static_cast<std::size_t>(self)))
+    return nullptr;
+  return &ph->view;
+}
+
+AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
+                                                const std::vector<DeliveryRecord>& ledger,
+                                                int phase) {
+  if (ledger_ != &ledger || round_ != round) {
+    // First request of the round: group the agreement records by phase,
+    // fold each phase's View, and intersect its delivered sets (sender
+    // included) into the mask of recipients that hear the whole phase.
+    ledger_ = &ledger;
     round_ = round;
-    phase_ = phase;
-    msgs_.assign(seen.begin(), seen.end());
-    defined_.assign(static_cast<std::size_t>(t), 1);
-    defined_[static_cast<std::size_t>(self)] = 0;
-    if (suffix_sn_.size() != static_cast<std::size_t>(t) + 1) {
-      suffix_sn_.resize(static_cast<std::size_t>(t) + 1);
-      suffix_tn_.resize(static_cast<std::size_t>(t) + 1);
-    }
-    suffix_base_ = self;
-    suffix_sn_[static_cast<std::size_t>(t)] = DynBitset(sn.size(), true);  // AND identity
-    suffix_tn_[static_cast<std::size_t>(t)] = DynBitset(tn.size());        // OR identity
-    for (int j = t - 1; j > suffix_base_; --j) {
-      suffix_sn_[static_cast<std::size_t>(j)] = suffix_sn_[static_cast<std::size_t>(j) + 1];
-      suffix_tn_[static_cast<std::size_t>(j)] = suffix_tn_[static_cast<std::size_t>(j) + 1];
-      if (const AgreeMsg* m = msgs_[static_cast<std::size_t>(j)]) {
-        suffix_sn_[static_cast<std::size_t>(j)] &= m->s_left;
-        suffix_tn_[static_cast<std::size_t>(j)] |= m->t_alive;
+    phases_.clear();
+    const std::size_t t = static_cast<std::size_t>(t_);
+    DynBitset reached(t);
+    for (const DeliveryRecord& rec : ledger) {
+      const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
+      if (m == nullptr) continue;
+      auto ph = std::find_if(phases_.begin(), phases_.end(),
+                             [&](const Phase& p) { return p.phase == m->phase; });
+      if (ph == phases_.end()) {
+        ph = phases_.emplace(phases_.end());
+        ph->phase = m->phase;
+        ph->reached_by_all = DynBitset(t, true);
+        ph->view.by_sender.assign(t, nullptr);
+        ph->view.senders = DynBitset(t);
+        ph->view.done = DynBitset(t);
+        ph->view.s_and = DynBitset(static_cast<std::size_t>(n_), true);
+        ph->view.t_or = DynBitset(t);
       }
-    }
-    prefix_sn_ = DynBitset(sn.size(), true);
-    prefix_tn_ = DynBitset(tn.size());
-    prefix_end_ = 0;
-  } else {
-    if (phase_ != phase) return false;
-    // The cached folds only apply if this requester merges exactly the
-    // pinned set: verify entry-for-entry before touching anything.
-    // Undefined slots below `self` are fine (pinned during the prefix
-    // advance); at or above `self` they would sit inside the suffix fold,
-    // which cannot happen when this lane's requesters arrive in ascending id
-    // order -- and the same check is what rejects a requester below the
-    // pinning self (whose slot, the lane's only undefined one, lies at
-    // suffix_base_ >= self), so the trimmed suffix table is never read below
-    // suffix_base_ + 1.
-    for (int i = 0; i < t; ++i) {
-      if (i == self) continue;
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (defined_[si]) {
-        if (msgs_[si] != seen[si]) return false;
-      } else if (i >= self) {
-        return false;
-      }
+      View& v = ph->view;
+      const std::size_t from = static_cast<std::size_t>(rec.from);
+      if (v.senders.test(from)) ph->duplicate = true;
+      v.by_sender[from] = m;
+      v.senders.set(from);
+      if (m->done) v.done.set(from);
+      v.s_and &= m->s_left;
+      v.t_or |= m->t_alive;
+      reached.reset_all();
+      rec.to.mark_prefix(reached, rec.cut);
+      reached.set(from);
+      ph->reached_by_all &= reached;
     }
   }
-  for (int i = prefix_end_; i < self; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    if (!defined_[si]) {
-      defined_[si] = 1;
-      msgs_[si] = seen[si];
-    }
-    if (const AgreeMsg* m = msgs_[si]) {
-      prefix_sn_ &= m->s_left;
-      prefix_tn_ |= m->t_alive;
-    }
-  }
-  if (self > prefix_end_) prefix_end_ = self;
-  sn &= prefix_sn_;
-  sn &= suffix_sn_[static_cast<std::size_t>(self) + 1];
-  tn |= prefix_tn_;
-  tn |= suffix_tn_[static_cast<std::size_t>(self) + 1];
-  return true;
+  for (Phase& ph : phases_)
+    if (ph.phase == phase) return &ph;
+  return nullptr;
 }
 
 ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
-                                   std::shared_ptr<AgreeMergeCache> merge_cache)
-    : n_(cfg.n), t_(cfg.t), self_(self), merge_cache_(std::move(merge_cache)) {
+                                   std::shared_ptr<AgreeRoundFold> fold)
+    : n_(cfg.n), t_(cfg.t), self_(self), fold_(std::move(fold)) {
   cfg.validate();
   s_ = DynBitset(static_cast<std::size_t>(n_), true);
   t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
   seen_.assign(static_cast<std::size_t>(t_), nullptr);
+  heard_ = DynBitset(static_cast<std::size_t>(t_));
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
 
@@ -234,16 +206,27 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     return a;
   }
 
-  // Stash this phase's agreement messages (they may arrive one round early
-  // when a peer finished the previous agreement before us).  Early arrivals
-  // land while we are still in the work phase and must outlive the recycled
-  // round ledger, so their payloads are retained; agreement-round arrivals
-  // are consumed before this call returns (see the seen_ comment in the
-  // header).
-  for (const Msg& msg : inbox) {
-    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
-      seen_[static_cast<std::size_t>(msg.from)] = m;
-      if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
+  // A round received in full folds from the run-shared summary instead of
+  // walking the ledger; a work-phase recipient skips a ledger that holds no
+  // broadcast of its phase.  Everything else stashes this phase's agreement
+  // messages (they may arrive one round early when a peer finished the
+  // previous agreement before us).  Early arrivals land while we are still
+  // in the work phase and must outlive the recycled round ledger, so their
+  // payloads are retained; agreement-round arrivals are consumed before this
+  // call returns (see the seen_ comment in the header).
+  const std::vector<DeliveryRecord>* ledger = fold_ ? inbox.ledger() : nullptr;
+  const AgreeRoundFold::View* view = nullptr;
+  if (ledger && phase_kind_ == PhaseKind::kAgree && early_retained_.empty())
+    view = fold_->view(ctx.round, *ledger, self_, phase_);
+  const bool skip_inbox =
+      view != nullptr ||
+      (ledger && phase_kind_ == PhaseKind::kWork && !fold_->has_phase(ctx.round, *ledger, phase_));
+  if (!skip_inbox) {
+    for (const Msg& msg : inbox) {
+      if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
+        seen_[static_cast<std::size_t>(msg.from)] = m;
+        if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
+      }
     }
   }
 
@@ -263,47 +246,53 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   }
 
   // Agreement phase, receive-check for iteration iter_ (peers' iteration-k
-  // broadcasts arrive one simulator round after they were sent).
-  bool adopted = false;
-  for (int i = 0; i < t_; ++i) {
-    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
-    if (msg && msg->done) {
-      sn_ = msg->s_left;
-      tn_ = msg->t_alive;
-      adopted = true;
-      break;
+  // broadcasts arrive one simulator round after they were sent).  Without
+  // a shared view, fold the stashed messages the same way, straight into
+  // sn_/tn_ and heard_.
+  const AgreeMsg* adopt = nullptr;
+  if (view) {
+    adopt = view->adoptable(self_);
+  } else {
+    for (const AgreeMsg* msg : seen_) {
+      if (msg && msg->done) {
+        adopt = msg;
+        break;
+      }
     }
   }
   bool removed_any = false;
-  if (!adopted) {
-    // The common case -- every recipient folding the same collective round
-    // view -- hits the run-shared prefix/suffix cache in O(1) merges; any
-    // deviation (cut broadcast, phase skew, no cache) merges the long way.
-    if (!merge_cache_ || !merge_cache_->fold(self_, ctx.round, phase_, seen_, sn_, tn_)) {
-      for (int i = 0; i < t_; ++i) {
-        const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
+  if (adopt) {
+    sn_ = adopt->s_left;
+    tn_ = adopt->t_alive;
+  } else {
+    if (view) {
+      sn_ &= view->s_and;
+      tn_ |= view->t_or;
+      heard_ = view->senders;
+    } else {
+      heard_.reset_all();
+      for (std::size_t i = 0; i < seen_.size(); ++i) {
+        const AgreeMsg* msg = seen_[i];
         if (!msg) continue;
         sn_ &= msg->s_left;
         tn_ |= msg->t_alive;
+        heard_.set(i);
       }
     }
     if (iter_ >= grace_) {
-      for (int i = 0; i < t_; ++i) {
-        if (i != self_ && u_.test(static_cast<std::size_t>(i)) &&
-            !seen_[static_cast<std::size_t>(i)]) {
-          u_.reset(static_cast<std::size_t>(i));  // silent => crashed
-          removed_any = true;
-        }
-      }
+      heard_.set(static_cast<std::size_t>(self_));
+      removed_any = u_.retain(heard_);  // silent => crashed
       if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
     }
   }
-  std::fill(seen_.begin(), seen_.end(), nullptr);
-  early_retained_.clear();
+  if (!view) {
+    std::fill(seen_.begin(), seen_.end(), nullptr);
+    early_retained_.clear();
+  }
   const bool stable = !removed_any && iter_ >= grace_;
   ++iter_;
 
-  if (adopted || stable) {
+  if (adopt || stable) {
     Action a = agree_broadcast(true);  // line 20: final view, done = true
     finish_agree(ctx.round);
     if (terminated_) a.terminate = true;

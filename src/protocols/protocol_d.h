@@ -26,8 +26,8 @@
 
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/work.h"
 #include "protocols/protocol_a.h"
@@ -37,8 +37,8 @@
 namespace dowork {
 
 // Views are word-packed (util/bitset.h): an agreement iteration merges up
-// to t of these per recipient, so the packing is what keeps the scale
-// sweep's t = 1024 shape affordable.
+// to t of these (once per round through a shared fold, per recipient
+// without one), so the packing keeps the merges cheap at scale.
 struct AgreeMsg final : Payload {
   int phase;          // work/agreement phase number, 1-based
   DynBitset s_left;   // outstanding units, indexed unit-1
@@ -48,80 +48,80 @@ struct AgreeMsg final : Payload {
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
-// Run-scoped memoization of the agreement merge.  Every recipient of an
-// agreement round folds the SAME collective broadcast set (minus its own
-// message) into its views: sn &= AND over senders of s_left, tn |= OR of
-// t_alive.  Doing that independently costs Theta(t^2) view merges per round
-// -- the dominant memory traffic of the D scale rows once the broadcast
-// ledger removed the per-pair envelope churn.  The cache computes
-// "everyone except me" with prefix/suffix folds over the round's pinned
-// sender->message table: O(t) merges to build per round, O(1) merges per
-// recipient to apply.
+// Run-shared summary of one round's agreement broadcasts.  Every recipient
+// of an agreement round folds (nearly) the same broadcast set into its views,
+// so walking the ledger per recipient costs Theta(t^2) record visits and
+// view merges per round.  On the round's first request the fold walks the
+// ledger (InboxView::ledger()) once, grouping AgreeMsg records by phase and
+// keeping, per phase, the mask of recipients every record of the phase
+// reaches (AND over records of delivered prefix + {sender}) and the phase's
+// View.  A recipient in the mask gets that View; a recipient some broadcast
+// missed (a crash-cut prefix, an audience that excludes it) gets none.
 //
-// Why results are bit-identical: AND/OR are associative and commutative,
-// so regrouping the fold cannot change a bit, and fold() applies it only
-// after verifying the requester's seen-set matches the pinned collective
-// view entry-for-entry (any deviation -- a crash-cut broadcast that missed
-// this recipient, an early arrival from a skewed phase boundary, a silent
-// sender -- returns false and the caller merges the long way).  The cache
-// is shared by the t sibling processes of ONE run and is invisible to every
-// metric, message, and decision; protocol_d_test pins cache and cache-free
-// runs to identical metrics.
+// Bit-identical to the naive merge: a View includes the recipient's own
+// broadcast, which the recipient never hears, but that record's s_left and
+// t_alive are exactly its current sn/tn (a D process in kAgree broadcast
+// them last round and has not touched them since; a done broadcast ends the
+// phase, so the own record is never done either), and AND/OR are
+// idempotent, associative and commutative.  A phase where some sender
+// broadcast twice has no View either.  Without a View the process merges
+// naively, as it does with early arrivals retained, after reverting to A,
+// and on envelope-mode or network-path inboxes.
 //
-// Threading: the round-parallel core (sim/round_pool.h) evaluates recipients
-// on several threads, so one fold state cannot be shared -- requesters from
-// different shards would interleave their prefix advances.  Instead the
-// cache keeps one *lane* of fold state per serving thread, created on first
-// use: the pool hands each thread a run of ascending-id recipients, so every
-// lane independently sees the serial cache's access pattern over its own id
-// range and pins its own collective view from its lowest requester.  Lanes
-// never touch each other's state (the lane table itself is the only
-// mutex-guarded structure), the per-lane fast path is lock-free, and a lane
-// that sees requesters out of ascending order merely falls back to the naive
-// merge -- the validation makes misuse slow, never wrong.  The serial
-// simulator exercises exactly one lane, which behaves byte-for-byte like the
-// pre-lane cache; protocol_d_test's sharded-round tests pin the
-// serving-thread-change cases.
-//
-// Memory: a lane's suffix folds are built only above its pinning (lowest)
-// requester, so lane k of a k-sharded round stores the top 1/k-ish of the
-// suffix table and the lanes together cost ~ln(k) serial tables, not k.
-class AgreeMergeCache {
+// Threading: requests are mutex-guarded and order-independent, so one fold
+// serves the serial simulator, RoundPool shards and live worker threads.  A
+// View lives until the first request of a later round, which every
+// executor's round barrier orders after the current round's requests.
+class AgreeRoundFold {
  public:
-  // Folds the collective view of `round` minus `self` into (sn, tn) exactly
-  // as the naive loop over `seen` would; returns false (views untouched)
-  // when `seen` deviates from the pinned collective view.
-  bool fold(int self, const Round& round, int phase, const std::vector<const AgreeMsg*>& seen,
-            DynBitset& sn, DynBitset& tn);
+  // The fold of one phase's broadcasts.
+  struct View {
+    // The lowest done sender's message other than `self`'s, or null.
+    const AgreeMsg* adoptable(int self) const;
 
- private:
-  // One serving thread's complete fold state; the pre-lane cache's fields,
-  // verbatim, plus the suffix trim base.
-  struct Lane {
-    bool fold(int self, const Round& round, int phase, const std::vector<const AgreeMsg*>& seen,
-              DynBitset& sn, DynBitset& tn);
-
-    bool active_ = false;
-    Round round_;
-    int phase_ = 0;
-    std::vector<const AgreeMsg*> msgs_;  // pinned collective view, by sender
-    std::vector<std::uint8_t> defined_;  // msgs_[i] pinned (undefined = a past requester's own slot)
-    std::vector<DynBitset> suffix_sn_, suffix_tn_;  // [j] = fold over senders in [j, t)
-    int suffix_base_ = 0;  // suffix entries valid for j > suffix_base_ (= this round's pinning self)
-    DynBitset prefix_sn_, prefix_tn_;  // fold over senders in [0, prefix_end_)
-    int prefix_end_ = 0;
+    std::vector<const AgreeMsg*> by_sender;  // null = no broadcast
+    DynBitset senders;  // t bits: the entries present
+    DynBitset done;     // t bits: those whose broadcast had done set
+    DynBitset s_and;    // n bits: AND of their s_left
+    DynBitset t_or;     // t bits: OR of their t_alive
   };
 
-  Lane& lane_for_this_thread();
+  explicit AgreeRoundFold(const DoAllConfig& cfg) : n_(cfg.n), t_(cfg.t) {}
 
-  std::mutex lanes_mu_;  // guards the lane table only, never lane contents
-  std::vector<std::pair<std::thread::id, std::unique_ptr<Lane>>> lanes_;
+  // Whether `ledger`, the ledger of `round`, holds an AgreeMsg of `phase`.
+  bool has_phase(const Round& round, const std::vector<DeliveryRecord>& ledger, int phase);
+  // The View of `phase`'s broadcasts in `ledger` when recipient `self`
+  // hears every one of them but its own; null otherwise, and when a sender
+  // broadcast twice in the phase.
+  const View* view(const Round& round, const std::vector<DeliveryRecord>& ledger, int self,
+                   int phase);
+
+ private:
+  struct Phase {
+    int phase = 0;
+    bool duplicate = false;
+    DynBitset reached_by_all;  // recipients that hear every other record
+    View view;
+  };
+
+  // The entry of `phase` in `round`'s summary (null if the round has no
+  // broadcast of it), summarizing the round first if it is new.  Called
+  // with mu_ held; entries are only added while summarizing, so a pointer
+  // lasts until the next round is summarized.
+  Phase* phase_of(const Round& round, const std::vector<DeliveryRecord>& ledger, int phase);
+
+  std::int64_t n_;
+  int t_;
+  std::mutex mu_;  // guards the round summary below
+  const std::vector<DeliveryRecord>* ledger_ = nullptr;  // summarized round
+  Round round_;
+  std::vector<Phase> phases_;
 };
 
 class ProtocolDProcess final : public IProcess {
  public:
   ProtocolDProcess(const DoAllConfig& cfg, int self,
-                   std::shared_ptr<AgreeMergeCache> merge_cache = nullptr);
+                   std::shared_ptr<AgreeRoundFold> fold = nullptr);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
@@ -185,7 +185,8 @@ class ProtocolDProcess final : public IProcess {
   // t = 1024, where an iteration stashes ~t messages).
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> early_retained_;
-  std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = merge manually
+  DynBitset heard_;  // reused buffer: senders heard this iteration, plus self
+  std::shared_ptr<AgreeRoundFold> fold_;  // run-shared; null = merge naively
 
   // Revert path.  The paper's case-2 bounds assume Protocol A runs over the
   // surviving processes only, so the embedded instance uses rank-in-T ids;

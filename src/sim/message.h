@@ -313,6 +313,14 @@ class InboxView {
   // diagnostics (protocols iterate instead).
   std::size_t count() const;
 
+  // The round's whole ledger, every record of it and not only the viewer's
+  // mail, when the view reads one with a single shared sent round; null in
+  // envelope mode and on the network path (per-record sent rounds).  The
+  // viewer's mail is then exactly the records with delivers_to(viewer), so a
+  // protocol may summarize the round once for all its recipients instead of
+  // each recipient walking the records (Protocol D's AgreeRoundFold).
+  const std::vector<DeliveryRecord>* ledger() const { return sent_rounds_ ? nullptr : recs_; }
+
   class const_iterator {
    public:
     using value_type = Msg;

@@ -34,10 +34,10 @@
 // and the CI --sim-threads determinism diff keep it pinned.
 //
 // Run-shared protocol state is the one thing the pool cannot make
-// data-independent by fiat: Protocol D's AgreeMergeCache serves fold
-// requests from whichever thread evaluates the recipient, so it keeps
-// per-serving-thread lanes (protocol_d.h) -- pure memoization either way,
-// pinned equal by protocol_d_test.
+// data-independent by fiat: Protocol D's AgreeRoundFold serves requests
+// from whichever thread evaluates the recipient, so it is mutex-guarded and
+// order-independent (protocol_d.h) -- a pure summary either way, pinned
+// equal to the naive merge by protocol_d_test.
 #pragma once
 
 #include <condition_variable>
@@ -96,8 +96,7 @@ class RoundPool final : public StepExecutor {
   void eval_shard(Shard& shard);
   // Claims shards off next_shard_ until none remain; called by workers and
   // the dispatching thread alike (monotone claiming order, so a thread that
-  // serves several shards serves them in ascending id order -- what keeps
-  // AgreeMergeCache lanes on their fast path).
+  // serves several shards serves them in ascending id order).
   void drain_shards();
 
   const std::size_t min_steps_per_shard_;

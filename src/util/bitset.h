@@ -119,6 +119,18 @@ class DynBitset {
     return *this;
   }
 
+  // In-place intersection with `mask` (equal sizes) that reports whether it
+  // cleared any bit.  Protocol D drops every silent sender from its
+  // believed-correct set with one word pass instead of a per-bit test loop.
+  bool retain(const DynBitset& mask) {
+    std::uint64_t cleared = 0;
+    for (std::size_t i = 0; i < w_.size(); ++i) {
+      cleared |= w_[i] & ~mask.w_[i];
+      w_[i] &= mask.w_[i];
+    }
+    return cleared != 0;
+  }
+
   friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
 
   // Raw word access for serialization (the socket substrate's wire codec

@@ -190,6 +190,58 @@ TEST(InboxView, EnvelopeBackedViewForWrappers) {
   EXPECT_EQ(m.as<TagPayload>()->tag, 77);
 }
 
+TEST(InboxView, LedgerIsExposedOnlyInSharedSentRoundLedgerMode) {
+  Round sent{3};
+  std::vector<DeliveryRecord> ledger;
+  ledger.push_back(record(0, MsgKind::kOther, IdRange{1, 4}, 1));
+  // Ledger mode with one shared sent round: the whole round, records that
+  // miss the viewer included.
+  EXPECT_EQ(InboxView(ledger, sent, /*self=*/1, /*any=*/true).ledger(), &ledger);
+  EXPECT_EQ(InboxView(ledger, sent, /*self=*/5, /*any=*/false).ledger(), &ledger);
+  // The network path carries per-record sent rounds: no whole-round ledger.
+  std::vector<Round> per_record(ledger.size(), sent);
+  EXPECT_EQ(InboxView(ledger, sent, 1, true, &per_record).ledger(), nullptr);
+  // Envelope mode (wrappers, socket workers) and the default view: none.
+  std::vector<Envelope> envs;
+  envs.push_back(Envelope{4, 1, MsgKind::kValue, Round{9}, std::make_shared<TagPayload>(7)});
+  EXPECT_EQ(InboxView(envs).ledger(), nullptr);
+  EXPECT_EQ(InboxView().ledger(), nullptr);
+}
+
+// Records whether each inbox it was handed exposed a ledger.
+class LedgerProbe final : public IProcess {
+ public:
+  explicit LedgerProbe(std::vector<bool>* exposed) : exposed_(exposed) {}
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    if (!inbox.empty()) exposed_->push_back(inbox.ledger() != nullptr);
+    Action a;
+    if (ctx.round < Round{4}) {
+      a.sends.push_back(Outgoing{IdRange{0, 2}, MsgKind::kOther, std::make_shared<TagPayload>(1)});
+    } else {
+      a.terminate = true;
+    }
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return now; }
+
+ private:
+  std::vector<bool>* exposed_;
+};
+
+TEST(InboxView, SimulatorExposesTheLedgerOffTheNetworkPathOnly) {
+  for (const bool net : {false, true}) {
+    std::vector<bool> exposed;
+    std::vector<std::unique_ptr<IProcess>> procs;
+    procs.push_back(std::make_unique<LedgerProbe>(&exposed));
+    procs.push_back(std::make_unique<LedgerProbe>(&exposed));
+    Simulator::Options opts;
+    if (net) opts.net = NetSpec::latency(1, 1, 0);
+    run_simulation(std::move(procs), std::make_unique<NoFaults>(), opts);
+    ASSERT_FALSE(exposed.empty()) << net;
+    for (bool e : exposed) EXPECT_EQ(e, !net) << net;
+  }
+}
+
 // --- allocation contract -----------------------------------------------------
 
 // Broadcasts one payload to every other process each round for `rounds`

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <functional>
+#include <initializer_list>
+#include <sstream>
+#include <string>
+#include <typeinfo>
 
+#include "core/registry.h"
 #include "core/runner.h"
+#include "harness/fault_spec.h"
 #include "sim/round_pool.h"
+#include "substrate/differential.h"
+#include "substrate/thread_substrate.h"
 
 namespace dowork {
 namespace {
@@ -170,18 +178,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ProtocolDRandom : public ::testing::TestWithParam<unsigned> {};
 
-// The run-shared AgreeMergeCache is a pure memoization: with and without
-// it, every metric of the run -- work, messages, rounds, per-process and
+// The run-shared AgreeRoundFold is a pure summary: with and without it,
+// every metric of the run -- work, messages, rounds, per-process and
 // per-unit breakdowns -- must be identical, including under mid-broadcast
-// prefix cuts (which force some recipients onto the slow merge path) and
-// random schedules.
+// prefix cuts (which send the recipients past the cut to the naive merge)
+// and random schedules.
 TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
   const DoAllConfig cfg{96, 12};
-  auto run_with = [&](bool cached, std::unique_ptr<FaultInjector> faults) {
-    auto cache = cached ? std::make_shared<AgreeMergeCache>() : nullptr;
+  auto run_with = [&](bool folded, std::unique_ptr<FaultInjector> faults) {
+    auto fold = folded ? std::make_shared<AgreeRoundFold>(cfg) : nullptr;
     std::vector<std::unique_ptr<IProcess>> procs;
     for (int i = 0; i < cfg.t; ++i)
-      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold));
     Simulator::Options opts;
     opts.strict_one_op = true;
     opts.n_units = cfg.n;
@@ -189,7 +197,7 @@ TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
   };
   auto faults = [] {
     // Crashes landing in work rounds AND mid-agreement-broadcast (half the
-    // audience cut), so both merge paths are exercised.
+    // audience cut), so shared views and naive merges are both exercised.
     return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
         {2, 3, CrashPlan{false, 0}},
         {5, 9, CrashPlan{true, 5}},
@@ -226,114 +234,327 @@ TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolDRandom, ::testing::Range(0u, 25u));
 
-// --- the merge cache when the serving thread changes ------------------------
+// --- AgreeRoundFold vs the naive merge on hand-built ledgers ---------------
 //
-// The round-parallel core (sim/round_pool.h) evaluates recipients on several
-// threads, so AgreeMergeCache keeps per-serving-thread lanes.  These tests
-// pin the contract directly: each lane independently reproduces the naive
-// fold over its own ascending-id range, and a requester below a lane's
-// pinning self falls back (returns false) instead of reading a suffix entry
-// the lane never built.
+// Twin D processes -- one reading a shared AgreeRoundFold, one built with a
+// null fold, which merges every round naively -- step through the same
+// ledgers in lockstep.  Each round's ledger is the naive twins' sends of the
+// previous round, edited by the scenario (cut, re-addressed, duplicated,
+// extra or lost records, crashes), and every step's action and observable
+// state must match between the twins.
 
-// One synthetic agreement round: t messages with distinct views, sender 6
-// silent (a crashed broadcaster every recipient agrees is silent).
-struct FoldFixture {
-  static constexpr int t = 12;
-  static constexpr std::size_t n = 48;
-  std::vector<std::unique_ptr<AgreeMsg>> owned;
-  std::vector<const AgreeMsg*> table;  // by sender; null = silent
+std::string bit_string(const DynBitset& b) {
+  std::string s;
+  for (std::size_t i = 0; i < b.size(); ++i) s += b.test(i) ? '1' : '0';
+  return s;
+}
 
-  FoldFixture() {
-    table.assign(t, nullptr);
-    for (int i = 0; i < t; ++i) {
-      if (i == 6) continue;
-      DynBitset s(n, true);
-      s.reset(static_cast<std::size_t>(i));      // each sender knows unit i done
-      s.reset(static_cast<std::size_t>(i + 12));
-      DynBitset tv(t);
-      tv.set(static_cast<std::size_t>(i));       // and believes itself alive
-      tv.set(static_cast<std::size_t>((i + 1) % t));
-      owned.push_back(std::make_unique<AgreeMsg>(1, std::move(s), std::move(tv), false));
-      table[static_cast<std::size_t>(i)] = owned.back().get();
+// An action as comparable text: work, sends (kind, audience, the view
+// payload's contents), terminate.
+std::string show(const Action& a) {
+  std::ostringstream os;
+  if (a.work) os << "work " << *a.work << ';';
+  for (const Outgoing& o : a.sends) {
+    os << "send " << to_string(o.kind) << " to";
+    o.to.for_each_prefix(o.to.size(), [&](int id) { os << ' ' << id; });
+    if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get())) {
+      os << " phase " << m->phase << " done " << m->done << " S " << bit_string(m->s_left)
+         << " T " << bit_string(m->t_alive);
+    } else {
+      const Payload& p = *o.payload;
+      os << ' ' << typeid(p).name();
+    }
+    os << ';';
+  }
+  if (a.terminate) os << "terminate";
+  return os.str();
+}
+
+DynBitset bits_of(std::size_t size, std::initializer_list<int> ids) {
+  DynBitset b(size);
+  for (int i : ids) b.set(static_cast<std::size_t>(i));
+  return b;
+}
+
+DeliveryRecord agree_record(int from, std::initializer_list<int> to, int phase, DynBitset s,
+                            DynBitset t, bool done) {
+  const std::size_t width = t.size();
+  DeliveryRecord rec;
+  rec.from = from;
+  rec.kind = MsgKind::kAgreement;
+  rec.to = make_recipient_bits(bits_of(width, to));
+  rec.cut = rec.to.size();
+  rec.payload = std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);
+  return rec;
+}
+
+class FoldTwins {
+ public:
+  // Edits round r's ledger before delivery; may mark processes crashed (a
+  // crashed process is never stepped again).
+  using Edit = std::function<void(const Round& r, std::vector<DeliveryRecord>& ledger,
+                                  std::vector<char>& crashed)>;
+
+  explicit FoldTwins(const DoAllConfig& cfg)
+      : cfg_(cfg), fold_(std::make_shared<AgreeRoundFold>(cfg)),
+        wake_(static_cast<std::size_t>(cfg.t), Round{0u}),
+        crashed_(static_cast<std::size_t>(cfg.t), 0),
+        retired_(static_cast<std::size_t>(cfg.t), 0) {
+    for (int i = 0; i < cfg.t; ++i) {
+      folded_.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold_));
+      naive_.push_back(std::make_unique<ProtocolDProcess>(cfg, i));
     }
   }
 
-  // What recipient `self` hears: everyone's message but its own.
-  std::vector<const AgreeMsg*> seen_for(int self) const {
-    std::vector<const AgreeMsg*> seen = table;
-    seen[static_cast<std::size_t>(self)] = nullptr;
-    return seen;
-  }
+  AgreeRoundFold& fold() { return *fold_; }
+  const ProtocolDProcess& naive(int p) const { return *naive_[static_cast<std::size_t>(p)]; }
+  // The phase process p is in (1-based).
+  int phase(int p) const { return naive(p).phases_completed() + 1; }
+  bool retired(int p) const { return retired_[static_cast<std::size_t>(p)] != 0; }
 
-  // The naive merge the cache must reproduce bit for bit.
-  void naive(int self, DynBitset& sn, DynBitset& tn) const {
-    for (int i = 0; i < t; ++i) {
-      if (i == self) continue;
-      if (const AgreeMsg* m = table[static_cast<std::size_t>(i)]) {
-        sn &= m->s_left;
-        tn |= m->t_alive;
+  // Steps every live process that has mail or is due, round by round, until
+  // every process has crashed or retired.
+  void run(const Edit& edit = {}) {
+    std::vector<DeliveryRecord> ledger, next;
+    Round sent{0u};
+    for (std::uint64_t step = 0;; ++step) {
+      ASSERT_LT(step, 10'000u) << "twins did not retire";
+      const Round r{step};
+      if (edit) edit(r, ledger, crashed_);
+      next.clear();
+      bool live = false;
+      for (int p = 0; p < cfg_.t; ++p) {
+        const std::size_t sp = static_cast<std::size_t>(p);
+        if (crashed_[sp] || retired_[sp]) continue;
+        live = true;
+        bool mail = false;
+        for (const DeliveryRecord& rec : ledger) mail |= rec.delivers_to(p);
+        if (!mail && wake_[sp] > r) continue;
+        const InboxView inbox(ledger, sent, p, mail);
+        const RoundContext ctx{r, p};
+        const Action fa = folded_[sp]->on_round(ctx, inbox);
+        const Action na = naive_[sp]->on_round(ctx, inbox);
+        const std::string where = "proc " + std::to_string(p) + " round " + r.to_string();
+        EXPECT_EQ(show(fa), show(na)) << where;
+        EXPECT_EQ(folded_[sp]->describe(), naive_[sp]->describe()) << where;
+        EXPECT_EQ(folded_[sp]->known_done_units(), naive_[sp]->known_done_units()) << where;
+        EXPECT_EQ(folded_[sp]->reverted_to_a(), naive_[sp]->reverted_to_a()) << where;
+        wake_[sp] = naive_[sp]->next_wake(r + Round{1u});
+        EXPECT_EQ(folded_[sp]->next_wake(r + Round{1u}), wake_[sp]) << where;
+        for (const Outgoing& o : na.sends)
+          next.push_back(DeliveryRecord{p, o.kind, o.to.size(), o.to, o.payload});
+        if (na.terminate) retired_[sp] = 1;
       }
+      if (!live) return;
+      ledger.swap(next);
+      sent = r;
     }
   }
+
+ private:
+  DoAllConfig cfg_;
+  std::shared_ptr<AgreeRoundFold> fold_;
+  std::vector<std::unique_ptr<ProtocolDProcess>> folded_, naive_;
+  std::vector<Round> wake_;
+  std::vector<char> crashed_, retired_;
 };
 
-TEST(ProtocolDParallel, MergeCacheLanesMatchNaiveAcrossServingThreads) {
-  const FoldFixture fx;
-  AgreeMergeCache cache;
-  const Round round{7u};
-  // Shard the recipients like the pool would: [0,6) on this thread, [6,12)
-  // on a second -- each lane pins its own view from its lowest requester and
-  // serves ascending ids.  Every fold must hit the fast path and match the
-  // naive merge exactly.
-  auto serve = [&](int lo, int hi, std::vector<int>& fell_back) {
-    for (int self = lo; self < hi; ++self) {
-      DynBitset sn(fx.n, true), tn(fx.t);
-      DynBitset want_sn(fx.n, true), want_tn(fx.t);
-      if (!cache.fold(self, round, 1, fx.seen_for(self), sn, tn)) {
-        fell_back.push_back(self);
-        continue;
-      }
-      fx.naive(self, want_sn, want_tn);
-      EXPECT_EQ(sn, want_sn) << "self " << self;
-      EXPECT_EQ(tn, want_tn) << "self " << self;
+// The shape every scenario starts from: 6 processes, 2-unit slices, so
+// rounds 0-1 are work, round 2 sends the iteration-0 views and round 3 is
+// the first agreement receive.
+constexpr DoAllConfig kTwinCfg{12, 6};
+
+TEST(ProtocolDFold, WholeRoundSharesOneViewAcrossRecipients) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r == Round{1u}) crashed[5] = 1;  // dies mid-slice: phase 2 redoes it
+    if (r != Round{3u}) return;
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 0, 1);
+    ASSERT_NE(v, nullptr);
+    for (int p = 1; p < 5; ++p) EXPECT_EQ(tw.fold().view(r, ledger, p, 1), v) << p;
+    EXPECT_EQ(v->senders, bits_of(6, {0, 1, 2, 3, 4}));
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+  for (int p = 0; p < 5; ++p) {
+    EXPECT_TRUE(tw.retired(p)) << p;
+    EXPECT_EQ(tw.phase(p), 2) << p;  // retired in the phase that redid 5's slice
+  }
+}
+
+TEST(ProtocolDFold, CrashCutPrefixSendsUnreachedRecipientsNaive) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r != Round{3u}) return;
+    // Process 5 dies mid-way through its iteration-0 broadcast, reaching
+    // only recipients 0 and 1.
+    for (DeliveryRecord& rec : ledger)
+      if (rec.from == 5) rec.cut = 2;
+    crashed[5] = 1;
+    // 0 and 1 share the whole-phase view; 2-4 merge naively.
+    const AgreeRoundFold::View* whole = tw.fold().view(r, ledger, 0, 1);
+    ASSERT_NE(whole, nullptr);
+    EXPECT_EQ(tw.fold().view(r, ledger, 1, 1), whole);
+    EXPECT_EQ(whole->senders, bits_of(6, {0, 1, 2, 3, 4, 5}));
+    for (int p : {2, 3, 4}) EXPECT_EQ(tw.fold().view(r, ledger, p, 1), nullptr) << p;
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+TEST(ProtocolDFold, AudienceExcludingALiveRecipient) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    // Process 1's view skips live recipient 4, which merges naively and
+    // counts 1 silent.
+    for (DeliveryRecord& rec : ledger) {
+      if (rec.from != 1) continue;
+      rec.to = make_recipient_bits(bits_of(6, {0, 2, 3, 5}));
+      rec.cut = rec.to.size();
     }
-  };
-  std::vector<int> fb_low, fb_high;
-  std::thread high([&] { serve(6, FoldFixture::t, fb_high); });
-  serve(0, 6, fb_low);
-  high.join();
-  EXPECT_TRUE(fb_low.empty());
-  EXPECT_TRUE(fb_high.empty());
+    EXPECT_EQ(tw.fold().view(r, ledger, 4, 1), nullptr);
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 0, 1);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->senders, bits_of(6, {0, 1, 2, 3, 4, 5}));
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
 }
 
-TEST(ProtocolDParallel, MergeCacheRequesterBelowLanePinFallsBack) {
-  const FoldFixture fx;
-  AgreeMergeCache cache;
-  const Round round{7u};
-  // This lane's first requester is 5: its slot is the lane's undefined one
-  // and the suffix table exists only above it.
-  DynBitset sn(fx.n, true), tn(fx.t);
-  ASSERT_TRUE(cache.fold(5, round, 1, fx.seen_for(5), sn, tn));
-  // A lower id on the SAME thread (out of ascending order -- the pool never
-  // does this, but the cache must stay safe if a caller does) returns false
-  // with the views untouched.
-  DynBitset sn2(fx.n, true), tn2(fx.t);
-  const DynBitset sn2_before = sn2, tn2_before = tn2;
-  EXPECT_FALSE(cache.fold(2, round, 1, fx.seen_for(2), sn2, tn2));
-  EXPECT_EQ(sn2, sn2_before);
-  EXPECT_EQ(tn2, tn2_before);
-  // Higher ids keep working, and still match naive.
-  DynBitset sn3(fx.n, true), tn3(fx.t);
-  DynBitset want_sn(fx.n, true), want_tn(fx.t);
-  ASSERT_TRUE(cache.fold(9, round, 1, fx.seen_for(9), sn3, tn3));
-  fx.naive(9, want_sn, want_tn);
-  EXPECT_EQ(sn3, want_sn);
-  EXPECT_EQ(tn3, want_tn);
+TEST(ProtocolDFold, EarlyArrivalsRetainedFromWorkPhase) {
+  FoldTwins tw(kTwinCfg);
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r != Round{1u}) return;
+    // Process 5 dies in the work phase, but a phase-1 view of its reaches
+    // process 0 while 0 is still working: 0 merges it at its first
+    // agreement receive (the naive path) and never counts 5 silent.
+    crashed[5] = 1;
+    ledger.push_back(agree_record(5, {0}, 1, DynBitset(12, true), bits_of(6, {5}), false));
+  });
+  EXPECT_TRUE(tw.retired(0));
 }
 
-// End to end: the cache under a genuinely sharded simulator round must stay
-// observably invisible -- cached + sharded vs naive + serial, identical
-// metrics -- including the mid-broadcast cuts that force slow-path merges.
+TEST(ProtocolDFold, MixedPhasesFromDoneAdoptionSkew) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r == Round{1u}) crashed[5] = 1;
+    if (r == Round{3u}) {
+      // A done view reaches 0-2 only: they adopt it and start phase 2 a
+      // round before 3 and 4.
+      ledger.push_back(
+          agree_record(5, {0, 1, 2}, 1, bits_of(12, {10, 11}), bits_of(6, {0, 1, 2, 3, 4}), true));
+    }
+    if (r == Round{4u}) {
+      // 3 and 4 still receive phase-1 views; a phase-2 view rides along
+      // (an early arrival for 0-2, ignored by the phase-1 fold).
+      ledger.push_back(agree_record(5, {0, 1, 2, 3, 4}, 2, bits_of(12, {10, 11}),
+                                    bits_of(6, {0, 1, 2, 3, 4}), false));
+      EXPECT_EQ(tw.phase(0), 2);
+      EXPECT_EQ(tw.phase(3), 1);
+      EXPECT_TRUE(tw.fold().has_phase(r, ledger, 1));
+      EXPECT_TRUE(tw.fold().has_phase(r, ledger, 2));
+      const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 3, 1);
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(v->done, bits_of(6, {0, 1, 2}));
+      probed = true;
+    }
+  });
+  EXPECT_TRUE(probed);
+}
+
+TEST(ProtocolDFold, DuplicateSenderFallsBackToNaive) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    // A second phase-1 view from process 2; the naive loop keeps the last
+    // one delivered, so the fold declines the phase.
+    ledger.push_back(agree_record(2, {0, 1, 3, 4, 5}, 1, bits_of(12, {0}), bits_of(6, {2}), false));
+    EXPECT_EQ(tw.fold().view(r, ledger, 0, 1), nullptr);
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+TEST(ProtocolDFold, RevertToATraffic) {
+  FoldTwins tw(kTwinCfg);
+  int a_only_rounds = 0;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r == Round{1u})
+      for (int p : {2, 3, 4, 5}) crashed[static_cast<std::size_t>(p)] = 1;  // > half die
+    if (!ledger.empty() && !tw.fold().has_phase(r, ledger, tw.phase(0))) ++a_only_rounds;
+  });
+  EXPECT_TRUE(tw.naive(0).reverted_to_a());
+  EXPECT_TRUE(tw.naive(1).reverted_to_a());
+  EXPECT_GT(a_only_rounds, 0);
+  EXPECT_TRUE(tw.retired(0));
+  EXPECT_TRUE(tw.retired(1));
+}
+
+TEST(ProtocolDFold, EmptyLedgerCountsEveryoneSilent) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    ledger.clear();  // every iteration-0 view is lost: no phase to fold
+    EXPECT_FALSE(tw.fold().has_phase(r, ledger, 1));
+    EXPECT_EQ(tw.fold().view(r, ledger, 0, 1), nullptr);
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+  for (int p = 0; p < 6; ++p) EXPECT_TRUE(tw.naive(p).reverted_to_a() || tw.retired(p)) << p;
+}
+
+// Shared fold vs null fold, metric for metric, on every executor that runs
+// D's processes in one address space: the serial simulator, RoundPool
+// shards and the live thread substrate, under scripted and adaptive
+// crashes.
+TEST(ProtocolDParallel, SharedFoldMatchesNullFoldOnEveryExecutor) {
+  const ProtocolInfo& shared = find_protocol("D");
+  ProtocolInfo null_fold = shared;
+  null_fold.make_procs = {};  // make_proc builds D without a fold
+  for (int t : {64, 256}) {
+    const DoAllConfig cfg{4 * t, t};
+    const std::vector<harness::FaultSpec> specs = {
+        harness::FaultSpec::scheduled({{1, 2, CrashPlan{false, 0}},
+                                       {5, 5, CrashPlan{true, static_cast<std::size_t>(t / 2)}},
+                                       {9, 6, CrashPlan{true, 3}}}),
+        harness::FaultSpec::adaptive("splitter", 6, 1),
+        harness::FaultSpec::adaptive("greedy", 6, 1),
+    };
+    for (const harness::FaultSpec& spec : specs) {
+      auto sim_run = [&](const ProtocolInfo& info, int threads) {
+        Simulator::Options so;
+        so.strict_one_op = true;
+        so.n_units = cfg.n;
+        Simulator sim(make_processes(info, cfg), spec.make(), so);
+        RoundPool pool(threads, 1);
+        if (threads > 1) sim.set_step_executor(&pool);
+        return sim.run();
+      };
+      const std::string where = "t=" + std::to_string(t) + " " + spec.to_string();
+      const RunMetrics oracle = sim_run(null_fold, 1);
+      ASSERT_TRUE(oracle.all_retired) << where;
+      EXPECT_EQ(substrate::compare_metrics(oracle, sim_run(shared, 1)), "") << where;
+      EXPECT_EQ(substrate::compare_metrics(oracle, sim_run(shared, 4)), "") << where;
+      for (const ProtocolInfo* info : {&shared, static_cast<const ProtocolInfo*>(&null_fold)}) {
+        const substrate::LiveRunResult live =
+            substrate::run_live_do_all(*info, cfg, spec.make(), RunOptions{}, substrate::LiveOptions{});
+        EXPECT_EQ(substrate::compare_metrics(oracle, live.run.metrics), "")
+            << where << (info == &shared ? " live shared" : " live null");
+      }
+    }
+  }
+}
+
+// End to end: the fold under a genuinely sharded simulator round must stay
+// observably invisible -- folded + sharded vs naive + serial, identical
+// metrics -- including the mid-broadcast cuts that send recipients naive.
 TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
   const DoAllConfig cfg{96, 12};
   auto faults = [] {
@@ -343,11 +564,11 @@ TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
         {7, 11, CrashPlan{true, 2}},
     });
   };
-  auto run_with = [&](bool cached, int threads) {
-    auto cache = cached ? std::make_shared<AgreeMergeCache>() : nullptr;
+  auto run_with = [&](bool folded, int threads) {
+    auto fold = folded ? std::make_shared<AgreeRoundFold>(cfg) : nullptr;
     std::vector<std::unique_ptr<IProcess>> procs;
     for (int i = 0; i < cfg.t; ++i)
-      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold));
     Simulator::Options opts;
     opts.strict_one_op = true;
     opts.n_units = cfg.n;
@@ -359,16 +580,16 @@ TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
   };
   const RunMetrics naive_serial = run_with(false, 1);
   for (int threads : {2, 4}) {
-    const RunMetrics cached_sharded = run_with(true, threads);
-    EXPECT_EQ(cached_sharded.work_total, naive_serial.work_total) << threads;
-    EXPECT_EQ(cached_sharded.messages_total, naive_serial.messages_total) << threads;
-    EXPECT_EQ(cached_sharded.last_retire_round, naive_serial.last_retire_round) << threads;
-    EXPECT_EQ(cached_sharded.stepped_rounds, naive_serial.stepped_rounds) << threads;
-    EXPECT_EQ(cached_sharded.crashes, naive_serial.crashes) << threads;
-    EXPECT_EQ(cached_sharded.unit_multiplicity, naive_serial.unit_multiplicity) << threads;
-    EXPECT_EQ(cached_sharded.work_by_proc, naive_serial.work_by_proc) << threads;
-    EXPECT_EQ(cached_sharded.messages_by_proc, naive_serial.messages_by_proc) << threads;
-    EXPECT_EQ(cached_sharded.messages_by_kind, naive_serial.messages_by_kind) << threads;
+    const RunMetrics folded_sharded = run_with(true, threads);
+    EXPECT_EQ(folded_sharded.work_total, naive_serial.work_total) << threads;
+    EXPECT_EQ(folded_sharded.messages_total, naive_serial.messages_total) << threads;
+    EXPECT_EQ(folded_sharded.last_retire_round, naive_serial.last_retire_round) << threads;
+    EXPECT_EQ(folded_sharded.stepped_rounds, naive_serial.stepped_rounds) << threads;
+    EXPECT_EQ(folded_sharded.crashes, naive_serial.crashes) << threads;
+    EXPECT_EQ(folded_sharded.unit_multiplicity, naive_serial.unit_multiplicity) << threads;
+    EXPECT_EQ(folded_sharded.work_by_proc, naive_serial.work_by_proc) << threads;
+    EXPECT_EQ(folded_sharded.messages_by_proc, naive_serial.messages_by_proc) << threads;
+    EXPECT_EQ(folded_sharded.messages_by_kind, naive_serial.messages_by_kind) << threads;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/runner.h"
 #include "harness/bounds.h"
 #include "harness/fault_spec.h"
+#include "protocols/protocol_d.h"
 #include "substrate/differential.h"
 #include "substrate/thread_substrate.h"
 
@@ -187,11 +188,12 @@ TEST(SubstrateTest, BackendNames) {
   EXPECT_STREQ(to_string(Backend::kThread), "thread");
 }
 
-TEST(SubstrateTest, ProtocolDCacheFreeConstructionIsObservablyIdentical) {
-  // The live backend builds D without the run-shared agreement merge cache
-  // (registry.h); the cache is a pure memoization, so the sim run with and
-  // without it must agree on every metric -- this is what licenses comparing
-  // a shared-cache sim leg against a cache-free live leg.
+TEST(SubstrateTest, ProtocolDNullFoldConstructionIsObservablyIdentical) {
+  // Every backend builds D through make_processes, whose processes share
+  // one AgreeRoundFold; D built with a null fold merges every round
+  // naively.  The fold is a pure summary, so the two runs must agree on
+  // every metric -- this is what licenses a fold-backed live or socket leg
+  // against any other leg.
   const ProtocolInfo& info = find_protocol("D");
   DoAllConfig cfg;
   cfg.n = 64;
@@ -200,12 +202,12 @@ TEST(SubstrateTest, ProtocolDCacheFreeConstructionIsObservablyIdentical) {
   Simulator::Options so;
   so.strict_one_op = true;
   so.n_units = cfg.n;
-  Simulator with_cache(make_processes(info, cfg, std::nullopt, /*shared_state=*/true),
-                       spec.make(), so);
-  Simulator cache_free(make_processes(info, cfg, std::nullopt, /*shared_state=*/false),
-                       spec.make(), so);
-  const RunMetrics a = with_cache.run();
-  const RunMetrics b = cache_free.run();
+  std::vector<std::unique_ptr<IProcess>> naive;
+  for (int i = 0; i < cfg.t; ++i) naive.push_back(std::make_unique<ProtocolDProcess>(cfg, i));
+  Simulator with_fold(make_processes(info, cfg), spec.make(), so);
+  Simulator null_fold(std::move(naive), spec.make(), so);
+  const RunMetrics a = with_fold.run();
+  const RunMetrics b = null_fold.run();
   EXPECT_EQ(compare_metrics(a, b), "");
 }
 

@@ -1,6 +1,7 @@
 // Tests for util/: the table printer, number formatting, and the seeded RNG.
 #include <gtest/gtest.h>
 
+#include "util/bitset.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -87,6 +88,47 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng child2 = b.fork();
   for (int i = 0; i < 20; ++i)
     EXPECT_EQ(child.uniform(0, 1 << 30), child2.uniform(0, 1 << 30));
+}
+
+TEST(DynBitset, RetainIntersectsAndReportsClearedBits) {
+  // 130 bits: two full words plus a ragged tail.
+  DynBitset a(130), mask(130, true);
+  for (std::size_t i : {0u, 63u, 64u, 129u}) a.set(i);
+  EXPECT_FALSE(a.retain(mask));  // a is inside the mask: nothing cleared
+  EXPECT_EQ(a.count(), 4u);
+  mask.reset(64);
+  mask.reset(100);  // not in a: clearing it is not a change
+  EXPECT_TRUE(a.retain(mask));
+  EXPECT_FALSE(a.test(64));
+  EXPECT_TRUE(a.test(0));
+  EXPECT_TRUE(a.test(63));
+  EXPECT_TRUE(a.test(129));
+  EXPECT_FALSE(a.retain(mask));  // idempotent: the second pass clears nothing
+  DynBitset none(130);
+  EXPECT_TRUE(a.retain(none));
+  EXPECT_TRUE(a.none());
+  EXPECT_FALSE(a.retain(none));
+}
+
+TEST(DynBitset, RetainMatchesPerBitLoop) {
+  Rng rng(9);
+  for (std::size_t n : {1u, 63u, 64u, 65u, 200u}) {
+    DynBitset a(n), mask(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.chance(0.6)) a.set(i);
+      if (rng.chance(0.7)) mask.set(i);
+    }
+    DynBitset want = a;
+    bool cleared = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (want.test(i) && !mask.test(i)) {
+        want.reset(i);
+        cleared = true;
+      }
+    }
+    EXPECT_EQ(a.retain(mask), cleared) << n;
+    EXPECT_EQ(a, want) << n;
+  }
 }
 
 }  // namespace
