@@ -78,8 +78,9 @@ class IProcess {
   // max(next_wake(now), now').  Equivalently, the process holds an internal
   // deadline D fixed between on_round calls and answers max(D, now).  The
   // simulator relies on this to query next_wake exactly once per step and
-  // cache the answer in its wake queue (simulator.h) instead of re-asking
-  // every process every round.
+  // cache the answer (simulator.h), scheduling from a wake heap with at
+  // most one entry per process instead of re-asking every process every
+  // round; moving D later between steps costs the simulator no heap work.
   virtual Round next_wake(const Round& now) const = 0;
 
   // Observability accessor for adaptive adversaries (src/adversary/, via

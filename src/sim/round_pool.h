@@ -22,7 +22,7 @@
 //
 // Why observable state cannot move a byte: an evaluation reads only the
 // process's own state plus the round's already-delivered inbox (never this
-// round's commits), and every commit -- ledger records, wake-queue pushes,
+// round's commits), and every commit -- ledger records, wake-queue updates,
 // metric bumps, fault-injector decisions, RNG draws -- runs on the
 // simulator's thread in ascending id order, exactly as the serial loop
 // interleaved them.  The equivalence argument is the same one the live

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -32,8 +33,9 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
       opt_(std::move(options)),
       net_model_(opt_.net),
       net_rng_(opt_.net.seed) {
-  // The two-tier Round exists so heap entries stay this small; 3 per cache
-  // line instead of the 72 bytes the flat 512-bit representation cost.
+  // The two-tier Round exists so heap entries stay this small; the heap
+  // holds at most t of them, 3 per cache line instead of the 72 bytes the
+  // flat 512-bit representation cost.
   static_assert(sizeof(WakeEntry) <= 24);
   const std::size_t t = procs_.size();
   state_.assign(t, ProcState::kAlive);
@@ -42,14 +44,15 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
   consumed_epoch_.assign(t, 0);
   wake_.assign(t, Round{});
   queued_.assign(t, 0);
-  heap_has_.assign(t, 0);
-  heap_.reserve(t + 16);
+  heap_pos_.assign(t, -1);
+  heap_.reserve(t);
   metrics_.work_by_proc.assign(t, 0);
   metrics_.messages_by_proc.assign(t, 0);
   metrics_.unit_multiplicity.assign(static_cast<std::size_t>(opt_.n_units), 0);
 }
 
 void Simulator::retire(std::size_t p, ProcState to) {
+  erase_wake(p);  // a process stepped for its mail may still hold an entry
   state_[p] = to;
   --alive_;
 }
@@ -70,47 +73,106 @@ std::size_t Simulator::inbox_size(int proc) const {
 void Simulator::reschedule(std::size_t p, const Round& now) {
   Round w = procs_[p]->next_wake(now);
   if (w < now) w = now;  // a process may not schedule itself in the past
-  if (w == now) {
-    // Fast path for the overwhelmingly common answer "step me again next
-    // round" (every active process): a plain list instead of heap traffic.
-    // Any previous heap entry for p turns stale (it no longer matches
-    // wake_[p] when popped).
-    wake_[p] = std::move(w);
-    heap_has_[p] = 0;
-    if (!queued_[p]) {
+  if (w == now || w == never()) {
+    // "Step me again next round" -- the overwhelmingly common answer, from
+    // every active process -- goes on a plain list instead of the heap, and
+    // purely reactive processes (wake == never) are woken by mail alone.
+    erase_wake(p);
+    if (w == now && !queued_[p]) {
       queued_[p] = 1;
       next_step_.push_back(static_cast<int>(p));
     }
+    wake_[p] = std::move(w);
     return;
   }
-  // Unchanged wake with its entry still queued: nothing to do.  (The entry
-  // cannot have been consumed or gone stale -- due entries pop only in the
-  // round they fire, after which the re-queried wake necessarily moves
-  // forward, and staleness requires wake_[p] to have changed.)  This is what
-  // keeps a passive process cheap when every broadcast lands in its inbox:
-  // its deadline is re-announced each step but queued only once.
-  if (heap_has_[p] && w == wake_[p]) return;
-  wake_[p] = w;
-  // Purely reactive processes (wake == never) are woken by mail alone and
-  // carry no heap entry; everyone else gets a fresh entry.
-  if (w != never()) {
-    heap_.push_back(WakeEntry{std::move(w), static_cast<int>(p)});
-    std::push_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
-    heap_has_[p] = 1;
-  } else {
-    heap_has_[p] = 0;
+  const int i = heap_pos_[p];
+  if (i < 0) {
+    heap_.push_back(WakeEntry{w, static_cast<int>(p)});
+    sift_up(heap_.size() - 1);
+  } else if (w < heap_[static_cast<std::size_t>(i)].key) {
+    heap_[static_cast<std::size_t>(i)].key = w;
+    sift_up(static_cast<std::size_t>(i));
   }
+  // A later (or unchanged) wake leaves the entry as it is: its key is still
+  // a lower bound, re-keyed only if it ever surfaces.  This is what keeps a
+  // passive Protocol B process cheap when every checkpoint it hears pushes
+  // its deadline back.
+  wake_[p] = std::move(w);
+}
+
+bool Simulator::rekey_top() {
+  WakeEntry& top = heap_.front();
+  const Round& wake = wake_[static_cast<std::size_t>(top.proc)];
+  if (top.key == wake) return false;
+  top.key = wake;
+  sift_down(0);
+  return true;
 }
 
 const Round* Simulator::peek_min_wake() {
-  while (!heap_.empty()) {
-    const WakeEntry& top = heap_.front();
-    const std::size_t p = static_cast<std::size_t>(top.proc);
-    if (state_[p] == ProcState::kAlive && wake_[p] == top.wake) return &top.wake;
-    std::pop_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
-    heap_.pop_back();
+  if (heap_.empty()) return nullptr;
+  // Every other key is >= the top's and a lower bound on its own wake, so
+  // once the top's key is exact it is the minimum wake.
+  while (rekey_top()) {
   }
-  return nullptr;
+  return &heap_.front().key;
+}
+
+void Simulator::sift_up(std::size_t i) {
+  WakeEntry e = std::move(heap_[i]);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e.key < heap_[parent].key)) break;
+    heap_[i] = std::move(heap_[parent]);
+    heap_pos_[static_cast<std::size_t>(heap_[i].proc)] = static_cast<int>(i);
+    i = parent;
+  }
+  heap_pos_[static_cast<std::size_t>(e.proc)] = static_cast<int>(i);
+  heap_[i] = std::move(e);
+}
+
+void Simulator::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  WakeEntry e = std::move(heap_[i]);
+  while (true) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && heap_[c + 1].key < heap_[c].key) ++c;
+    if (!(heap_[c].key < e.key)) break;
+    heap_[i] = std::move(heap_[c]);
+    heap_pos_[static_cast<std::size_t>(heap_[i].proc)] = static_cast<int>(i);
+    i = c;
+  }
+  heap_pos_[static_cast<std::size_t>(e.proc)] = static_cast<int>(i);
+  heap_[i] = std::move(e);
+}
+
+void Simulator::erase_wake(std::size_t p) {
+  const int pos = heap_pos_[p];
+  if (pos < 0) return;
+  heap_pos_[p] = -1;
+  // The last entry fills the hole and moves whichever way its key says.
+  const std::size_t i = static_cast<std::size_t>(pos);
+  heap_[i] = std::move(heap_.back());
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the erased entry was the last one
+  if (i > 0 && heap_[i].key < heap_[(i - 1) / 2].key)
+    sift_up(i);
+  else
+    sift_down(i);
+}
+
+void Simulator::check_wake_heap() const {
+#ifndef NDEBUG
+  assert(heap_.size() <= procs_.size());
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const std::size_t p = static_cast<std::size_t>(heap_[i].proc);
+    assert(heap_pos_[p] == static_cast<int>(i));
+    assert(state_[p] == ProcState::kAlive);
+    assert(heap_[i].key <= wake_[p]);
+    assert(i == 0 || !(heap_[i].key < heap_[(i - 1) / 2].key));
+  }
+#endif
 }
 
 void Simulator::validate_strict(int proc, const Action& a) const {
@@ -397,15 +459,16 @@ RunMetrics Simulator::run() {
       }
     }
 
-    // Processes whose wake time arrived join the recipients of mail.
-    while (const Round* min_wake = peek_min_wake()) {
-      if (*min_wake > r) break;
-      const int p = heap_.front().proc;
-      std::pop_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
-      heap_.pop_back();
-      if (!queued_[static_cast<std::size_t>(p)]) {
-        queued_[static_cast<std::size_t>(p)] = 1;
-        step_list_.push_back(p);
+    // Processes whose wake time arrived join the recipients of mail.  A key
+    // above r hides no due wake (keys are lower bounds), so only keys <= r
+    // are re-keyed; an exact one is due and leaves the heap.
+    while (!heap_.empty() && heap_.front().key <= r) {
+      if (rekey_top()) continue;
+      const std::size_t p = static_cast<std::size_t>(heap_.front().proc);
+      erase_wake(p);
+      if (!queued_[p]) {
+        queued_[p] = 1;
+        step_list_.push_back(static_cast<int>(p));
       }
     }
     // Steps must run in ascending id order (the round contract).  The list
@@ -435,6 +498,7 @@ RunMetrics Simulator::run() {
     }
     ++metrics_.stepped_rounds;
     metrics_.last_retire_round = r;
+    check_wake_heap();
 
     if (alive_ == 0) {
       metrics_.all_retired = true;
@@ -447,8 +511,8 @@ RunMetrics Simulator::run() {
     }
     // Fast-forward: jump to the earliest wake time over live processes.
     // Every live cached wake is > r here (due entries were popped above and
-    // next-round steppers were just checked), so the heap top is the exact
-    // minimum the old per-process scan computed.  Arithmetic runs in place
+    // next-round steppers were just checked), so the re-keyed heap top is the
+    // exact minimum the old per-process scan computed.  Arithmetic runs in place
     // on r / one gap temporary: with Protocol C's promoted round numbers a
     // by-value formulation cost three heap clones per jump.  With the
     // network plane live, a latency-held record is as good as a timer: the

@@ -19,15 +19,19 @@
 //   * Scheduling is wake-queue driven, not scan driven.  IProcess::next_wake
 //     is monotone and only changes when the process is stepped (the contract
 //     in process.h), so the simulator queries it exactly once per step,
-//     caches the result in wake_[p], and keeps a lazy min-heap of
-//     (wake, proc) entries.  A round steps only the processes that received
-//     mail plus those popped from the heap -- O(steps * log t) instead of
-//     O(t) virtual calls per round -- and heap compares are one u64 compare
-//     in the common case (Round's inline tier; see util/round.h, which also
-//     keeps a WakeEntry at 24 bytes instead of 72).  Fast-forward peeks the
-//     heap instead of rescanning every process.
-//     Stale heap entries (wake changed, process retired) are dropped on pop
-//     by comparing against wake_[p] and state_[p].
+//     caches the result in wake_[p], and keeps an indexed min-heap with at
+//     most one (key, proc) entry per process -- never more than t entries.
+//     A round steps only the processes that received mail plus those whose
+//     wake arrived -- O(steps * log t) instead of O(t) virtual calls per
+//     round -- and heap compares are one u64 compare in the common case
+//     (Round's inline tier; see util/round.h, which also keeps a WakeEntry
+//     at 24 bytes instead of 72).  An entry's key is a lower bound on
+//     wake_[p]: a later wake (Protocol B's message-relative timeouts move
+//     deadlines later on every checkpoint heard) only rewrites wake_[p],
+//     an earlier one sifts the entry up in place, and an entry that
+//     surfaces at the top with key < wake_[p] is re-keyed and sifted down.
+//     "Next round", a never wake and retirement erase the entry.
+//     Fast-forward peeks the heap instead of rescanning every process.
 //   * Delivery is a broadcast ledger, not per-pair envelopes: each send is
 //     recorded ONCE (DeliveryRecord: audience + moved payload reference +
 //     the crash prefix cut), so a round costs O(broadcasts + unicasts)
@@ -216,16 +220,15 @@ class Simulator final : public SimObservable, public StepEval {
   }
 
  private:
-  // One lazy min-heap entry; stale when wake != wake_[proc] or the process
-  // has retired (checked on pop, never eagerly removed).
+  // One wake-heap entry: heap_pos_[proc] indexes it, and key <= wake_[proc]
+  // (a lower bound, made exact when the entry surfaces -- see
+  // peek_min_wake).  Ties pop in arbitrary order: all due entries of a
+  // round are collected and the step list is sorted by process id
+  // afterwards.
   struct WakeEntry {
-    Round wake;
+    Round key;
     int proc;
   };
-  // Min-heap order for std::push_heap/pop_heap (which build max-heaps, hence
-  // the inversion).  Ties pop in arbitrary order: all due entries of a round
-  // are collected and the step list is sorted by process id afterwards.
-  static bool wake_later(const WakeEntry& a, const WakeEntry& b) { return b.wake < a.wake; }
 
   void step_round(const Round& r);
   // One step, split at the evaluation/commit boundary so an executor can
@@ -247,12 +250,25 @@ class Simulator final : public SimObservable, public StepEval {
   void retire(std::size_t p, ProcState to);
   // Re-queries next_wake(now) for p (clamped forward to `now`) and updates
   // the cache.  "Run again next round" answers go straight onto next_step_
-  // (no heap traffic -- the common case for active processes); wake == never
-  // means mail-only, no entry at all; everything else is heap-queued.
+  // and wake == never means mail-only: neither keeps a heap entry.  Any
+  // other wake inserts p's entry, or sifts it up when the wake moved below
+  // its key; a later wake leaves the entry alone (its key stays a lower
+  // bound).
   void reschedule(std::size_t p, const Round& now);
-  // Min wake over live processes as of the heap top, dropping stale entries;
-  // never_round() when no live process has a timer.
+  // Exact min wake over live processes: re-keys the heap top until its key
+  // equals its process's wake; nullptr when no live process has a timer.
   const Round* peek_min_wake();
+  // Re-keys the heap top to its process's wake if the key lags behind it;
+  // returns whether it did (the top may then be a different entry).
+  bool rekey_top();
+  // Indexed-heap primitives: restore order around slot i, keeping
+  // heap_pos_ in step; erase_wake drops p's entry, if any.
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void erase_wake(std::size_t p);
+  // Debug builds check after every round that the heap holds at most one
+  // entry per process and every key is a lower bound on its wake.
+  void check_wake_heap() const;
 
   std::vector<std::unique_ptr<IProcess>> procs_;
   std::unique_ptr<FaultInjector> faults_;
@@ -297,11 +313,11 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<std::uint64_t> consumed_epoch_;
   std::uint64_t epoch_ = 0;
   std::vector<Round> wake_;                   // cached next_wake per process
-  std::vector<WakeEntry> heap_;               // lazy min-heap over wake_
+  std::vector<WakeEntry> heap_;               // indexed min-heap, <= 1 entry per proc
+  std::vector<int> heap_pos_;                 // p's slot in heap_, -1 = none
   std::vector<int> step_list_;                // processes to step this round; reused
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
-  std::vector<std::uint8_t> heap_has_;        // heap holds an entry == wake_[p]
   Round cur_round_;                           // round being stepped (observable)
   RunMetrics metrics_;
   bool ran_ = false;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "sim/fault_injector.h"
+#include "sim/round_pool.h"
+#include "util/rng.h"
 
 namespace dowork {
 namespace {
@@ -303,6 +307,253 @@ TEST(FaultInjector, RandomFaultsRespectMaxCrashes) {
                                 std::make_unique<RandomFaults>(0.9, 5, /*seed=*/42), {});
   EXPECT_LE(m.crashes, 5u);
   EXPECT_TRUE(m.all_retired);
+}
+
+// --- wake-heap scheduling vs a reference scan ---------------------------------
+
+// A process whose deadline wanders under a seeded draw every step: later,
+// earlier, next round, unchanged, never, past 2^64 (a promoted Round), or
+// it terminates; it also mails random peers.  Each draw folds in the mail
+// it got, so a step taken in the wrong round or with the wrong inbox changes
+// everything after it.  Steps are logged per walker, so RoundPool shards can
+// step walkers concurrently.
+class DeadlineWalker final : public IProcess {
+ public:
+  DeadlineWalker(int t, std::uint64_t seed) : t_(t), rng_(seed) {}
+
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    steps.push_back(ctx.round);
+    std::uint64_t salt = 0;
+    for (const Msg& m : inbox) salt += 1 + static_cast<std::uint64_t>(m.as<IntPayload>()->v);
+    const Round& r = ctx.round;
+    const bool pending = deadline_ > r && deadline_ != never_round();
+    Action a;
+    const std::uint64_t choice = (rng_.uniform(0, 99) + salt) % 100;
+    if (choice < 4 || steps.size() >= kMaxSteps) {
+      a.terminate = true;
+      return a;
+    }
+    if (choice < 30) {  // later than the pending deadline (or a fresh one)
+      deadline_ = (pending ? deadline_ : r + Round{1}) + Round{rng_.uniform(1, 40)};
+    } else if (choice < 48) {  // earlier than the pending deadline
+      if (pending && deadline_ > r + Round{2}) {
+        Round gap = deadline_;
+        gap -= r + Round{2};
+        deadline_ = r + Round{2} + Round{rng_.uniform(0, gap.to_u64_saturating() - 1)};
+      } else {
+        deadline_ = r + Round{2};
+      }
+    } else if (choice < 62) {  // next round
+      deadline_ = r + Round{1};
+    } else if (choice < 70) {  // unchanged
+    } else if (choice < 78) {  // mail-only
+      deadline_ = never_round();
+    } else if (choice < 81) {  // past 2^64: the promoted tier
+      deadline_ = Round::pow2(64) + Round{rng_.uniform(0, 1000)};
+    } else {  // a long sleep
+      deadline_ = r + Round{rng_.uniform(50, 500)};
+    }
+    if (rng_.chance(0.35)) {
+      const std::uint64_t peers = rng_.uniform(1, 2);
+      for (std::uint64_t i = 0; i < peers; ++i) {
+        const int to = static_cast<int>(rng_.uniform(0, static_cast<std::uint64_t>(t_ - 1)));
+        a.sends.push_back(Outgoing{to, MsgKind::kOther,
+                                   std::make_shared<IntPayload>(
+                                       static_cast<int>(rng_.uniform(0, 9)))});
+      }
+    }
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return deadline_ > now ? deadline_ : now; }
+
+  std::vector<Round> steps;
+
+ private:
+  static constexpr std::size_t kMaxSteps = 40;
+  int t_;
+  Rng rng_;
+  Round deadline_{0};
+};
+
+// The scheduling semantics simulator.h documents, as the O(t) scan the wake
+// heap replaced: deliver last round's mail, step every live process with
+// mail or a due wake in ascending id order, and when nothing is in flight
+// jump to the earliest wake.  Alongside, it mirrors each process's heap key
+// under the rules in simulator.h, only to count which heap paths a
+// population exercised; the schedule never reads the mirror.
+struct ReferenceRun {
+  std::uint64_t stepped_rounds = 0;
+  std::uint64_t fast_forward_jumps = 0;
+  std::uint64_t messages_total = 0;
+  bool all_retired = false;
+  bool deadlocked = false;
+  // Heap paths taken, per the mirrored keys.
+  int decreases = 0;        // earlier wake while holding an entry: sift up
+  int raises = 0;           // later wake while holding an entry: key lags
+  int rekeys_due = 0;       // lagging key <= the round surfaced in the due scan
+  int rekeys_ff = 0;        // lagging key below the fast-forward target
+  int retires_holding = 0;  // terminated while holding an entry
+  int promoted_wakes = 0;   // wakes past 2^64 entered the heap
+};
+
+ReferenceRun run_reference(const std::vector<DeadlineWalker*>& ws) {
+  const std::size_t t = ws.size();
+  const Round& never = never_round();
+  std::vector<Round> wake(t);
+  std::vector<std::optional<Round>> key(t);  // the mirror
+  std::vector<bool> alive(t, true);
+  std::vector<std::vector<Envelope>> inbox(t);
+  std::vector<std::vector<Envelope>> sent(t);
+  ReferenceRun out;
+  std::size_t alive_count = t;
+  auto reschedule = [&](std::size_t p, const Round& now) {
+    Round w = ws[p]->next_wake(now);
+    if (w < now) w = now;
+    if (w == now || w == never) {
+      key[p].reset();
+    } else if (!key[p]) {
+      key[p] = w;
+      if (w >= Round::pow2(64)) ++out.promoted_wakes;
+    } else if (w < *key[p]) {
+      key[p] = w;
+      ++out.decreases;
+    } else if (*key[p] < w) {
+      ++out.raises;
+    }
+    wake[p] = std::move(w);
+  };
+  for (std::size_t p = 0; p < t; ++p) reschedule(p, Round{0});
+
+  Round r = 0;
+  while (alive_count > 0) {
+    std::swap(inbox, sent);
+    for (auto& box : sent) box.clear();
+    for (std::size_t p = 0; p < t; ++p) {
+      if (!alive[p] || !key[p] || *key[p] > r) continue;
+      if (*key[p] < wake[p]) {
+        ++out.rekeys_due;
+        key[p] = wake[p];
+      }
+      if (*key[p] == r) key[p].reset();  // due: the entry leaves the heap
+    }
+    bool any_sent = false;
+    const Round next_r = r + Round{1};
+    for (std::size_t p = 0; p < t; ++p) {
+      if (!alive[p] || (inbox[p].empty() && wake[p] != r)) continue;
+      Action a = ws[p]->on_round(RoundContext{r, static_cast<int>(p)}, InboxView(inbox[p]));
+      for (const Outgoing& o : a.sends) {
+        any_sent = true;
+        o.to.for_each_prefix(o.to.size(), [&](int to) {
+          ++out.messages_total;
+          sent[static_cast<std::size_t>(to)].push_back(
+              Envelope{static_cast<int>(p), to, o.kind, r, o.payload});
+        });
+      }
+      if (a.terminate) {
+        if (key[p]) ++out.retires_holding;
+        key[p].reset();
+        alive[p] = false;
+        --alive_count;
+      } else {
+        reschedule(p, next_r);
+      }
+    }
+    ++out.stepped_rounds;
+    if (alive_count == 0) break;
+    if (any_sent) {
+      r = next_r;
+      continue;
+    }
+    const Round* min_wake = nullptr;
+    for (std::size_t p = 0; p < t; ++p)
+      if (alive[p] && wake[p] != never && (min_wake == nullptr || wake[p] < *min_wake))
+        min_wake = &wake[p];
+    if (min_wake == nullptr) {
+      out.deadlocked = true;
+      return out;
+    }
+    for (std::size_t p = 0; p < t; ++p) {
+      if (alive[p] && key[p] && *key[p] < *min_wake) {
+        ++out.rekeys_ff;
+        key[p] = wake[p];
+      }
+    }
+    r = next_r;
+    if (*min_wake > r) {
+      ++out.fast_forward_jumps;
+      r = *min_wake;
+    }
+  }
+  out.all_retired = true;
+  return out;
+}
+
+std::vector<std::unique_ptr<DeadlineWalker>> make_walkers(int t, std::uint64_t seed) {
+  std::vector<std::unique_ptr<DeadlineWalker>> ws;
+  for (int p = 0; p < t; ++p)
+    ws.push_back(std::make_unique<DeadlineWalker>(t, seed * 1000003 + static_cast<std::uint64_t>(p)));
+  return ws;
+}
+
+// Runs a seeded walker population through the simulator (serially, or under
+// `executor`) and through the reference scan, and requires the same steps
+// in the same rounds and the same run outcome.  Returns the reference run
+// so callers can check which heap paths it covered.
+ReferenceRun expect_matches_reference(int t, std::uint64_t seed, StepExecutor* executor) {
+  std::vector<DeadlineWalker*> stepped;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (auto& w : make_walkers(t, seed)) {
+    stepped.push_back(w.get());
+    procs.push_back(std::move(w));
+  }
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), {});
+  sim.set_step_executor(executor);
+  const RunMetrics m = sim.run();
+
+  const auto ref_walkers = make_walkers(t, seed);
+  std::vector<DeadlineWalker*> ref;
+  for (const auto& w : ref_walkers) ref.push_back(w.get());
+  const ReferenceRun want = run_reference(ref);
+  for (int p = 0; p < t; ++p)
+    EXPECT_EQ(stepped[static_cast<std::size_t>(p)]->steps, ref[static_cast<std::size_t>(p)]->steps)
+        << "seed " << seed << ", process " << p;
+  EXPECT_EQ(m.stepped_rounds, want.stepped_rounds) << "seed " << seed;
+  EXPECT_EQ(m.fast_forward_jumps, want.fast_forward_jumps) << "seed " << seed;
+  EXPECT_EQ(m.messages_total, want.messages_total) << "seed " << seed;
+  EXPECT_EQ(m.all_retired, want.all_retired) << "seed " << seed;
+  EXPECT_EQ(m.deadlocked, want.deadlocked) << "seed " << seed;
+  return want;
+}
+
+void expect_population_matches_reference(StepExecutor* executor) {
+  ReferenceRun total;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const ReferenceRun run = expect_matches_reference(120, seed, executor);
+    total.decreases += run.decreases;
+    total.raises += run.raises;
+    total.rekeys_due += run.rekeys_due;
+    total.rekeys_ff += run.rekeys_ff;
+    total.retires_holding += run.retires_holding;
+    total.promoted_wakes += run.promoted_wakes;
+    total.fast_forward_jumps += run.fast_forward_jumps;
+  }
+  // The populations must actually drive every heap path.
+  EXPECT_GT(total.decreases, 0);
+  EXPECT_GT(total.raises, 0);
+  EXPECT_GT(total.rekeys_due, 0);
+  EXPECT_GT(total.rekeys_ff, 0);
+  EXPECT_GT(total.retires_holding, 0);
+  EXPECT_GT(total.promoted_wakes, 0);
+  EXPECT_GT(total.fast_forward_jumps, 0u);
+}
+
+TEST(WakeHeap, SerialScheduleMatchesReferenceScan) {
+  expect_population_matches_reference(nullptr);
+}
+
+TEST(WakeHeap, PooledScheduleMatchesReferenceScan) {
+  RoundPool pool(4, /*min_steps_per_shard=*/1);
+  expect_population_matches_reference(&pool);
 }
 
 // --- payload sharing (the ownership rules in message.h) ---------------------
