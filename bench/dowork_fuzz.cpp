@@ -33,13 +33,13 @@ int usage(int code) {
       "                  (plants deliberate violations; default 100)\n"
       "  --json FILE     write the deterministic campaign report\n"
       "  --trace-dir DIR write violation traces (original + shrunk reproducer)\n"
-      "  --differential [thread|socket]\n"
-      "                  run every sync case on both the simulator and a live\n"
-      "                  substrate -- worker threads (default) or worker OS\n"
-      "                  processes over localhost sockets, where crashes are\n"
-      "                  real SIGKILLs; any metric divergence fails the case\n"
-      "                  (divergences are reported unshrunk, with a trace of\n"
-      "                  the clean simulator leg attached)\n"
+      "  --differential [socket]\n"
+      "                  run every sync case on both the simulator and the\n"
+      "                  socket substrate -- worker OS processes over\n"
+      "                  localhost sockets, where crashes are real SIGKILLs;\n"
+      "                  any metric divergence fails the case (divergences\n"
+      "                  are reported unshrunk, with a trace of the clean\n"
+      "                  simulator leg attached)\n"
       "  --parallel-diff [N]\n"
       "                  run every sync case twice on the simulator -- with\n"
       "                  round-parallel evaluation (--sim-threads N, default\n"
@@ -129,12 +129,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--differential") {
       opts.differential = true;
       // Optional backend name: consume the next token only when it names a
-      // live substrate (so `--differential --json f` still works).
+      // backend (so `--differential --json f` still works).
       if (i + 1 < argc && std::strcmp(argv[i + 1], "socket") == 0) {
-        opts.differential_socket = true;
         ++i;
       } else if (i + 1 < argc && std::strcmp(argv[i + 1], "thread") == 0) {
-        ++i;
+        std::fprintf(stderr,
+                     "dowork_fuzz: --differential thread is gone: the in-process threaded "
+                     "executor is cross-checked by --parallel-diff\n");
+        return 2;
       }
     } else if (arg == "--parallel-diff") {
       // Optional thread count: consume the next token only when it is a

@@ -37,6 +37,10 @@ struct RunOptions {
   int sim_threads = 1;
 };
 
+// The Simulator::Options every backend derives from one run's inputs.
+Simulator::Options simulator_options(const ProtocolInfo& info, const DoAllConfig& cfg,
+                                     const RunOptions& opts);
+
 RunResult run_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
                      std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {});
 

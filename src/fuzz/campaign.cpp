@@ -86,7 +86,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     if (opts.differential && cases[i].substrate == harness::Substrate::kSync) {
       harness::Scenario d = cases[i];
       d.substrate = harness::Substrate::kDifferential;
-      if (opts.differential_socket) d.params["socket"] = 1;
+      d.params["socket"] = 1;
       wrapped.push_back(std::move(d));
       flipped[i] = true;
     } else {
@@ -218,10 +218,7 @@ std::string CampaignResult::to_json() const {
   out << "{\n";
   out << "  \"campaign\": {\"seed\": " << options.seed << ", \"cases\": " << options.cases
       << ", \"tighten_pct\": " << options.tighten_pct
-      << (options.differential ? ", \"differential\": true" : "")
-      << (options.differential && options.differential_socket
-              ? ", \"differential_socket\": true"
-              : "");
+      << (options.differential ? ", \"differential\": true" : "");
   if (options.parallel_diff > 1) out << ", \"parallel_diff\": " << options.parallel_diff;
   out << "},\n";
   out << "  \"summary\": {\"ok\": "
@@ -275,9 +272,7 @@ std::string CampaignResult::summary_table() const {
   std::ostringstream out;
   out << "fuzz campaign: seed " << options.seed << ", " << options.cases << " cases";
   if (options.tighten_pct != 100) out << ", bounds tightened to " << options.tighten_pct << "%";
-  if (options.differential)
-    out << ", differential (sim vs "
-        << (options.differential_socket ? "socket" : "live") << " substrate)";
+  if (options.differential) out << ", differential (sim vs socket substrate)";
   if (options.parallel_diff > 1)
     out << ", parallel-diff (sim_threads=" << options.parallel_diff << " vs serial)";
   out << "\n";

@@ -33,24 +33,21 @@ struct CampaignOptions {
   // execution) and caseNNNNN.shrunk.trace (the minimal reproducer) for
   // every violation.  Created if missing.
   std::string trace_dir;
-  // Run every sync case on BOTH backends -- the simulator and the live
-  // thread substrate (src/substrate/differential.h) -- and fail the case on
-  // any metric divergence, on top of the usual bound/invariant oracles
-  // (which judge the simulator leg's metrics, exactly as in plain mode).
-  // Differential cases cannot carry the decision recorder (one trace cannot
-  // serve two legs), so on violation the simulator leg is re-run alone,
-  // recorded: if it reproduces the failure the case shrinks normally; if it
-  // comes back clean the failure is a genuine substrate divergence, which
-  // is reported unshrunk (the shrinker's candidates replay single legs
-  // only) with a trace of the clean simulator leg attached for inspection.
+  // Run every sync case on BOTH the simulator and the socket-process
+  // substrate (src/substrate/differential.h; one worker OS process per
+  // protocol process, crashes as real SIGKILLs) -- and fail the case on any
+  // metric divergence, on top of the usual bound/invariant oracles (which
+  // judge the simulator leg's metrics, exactly as in plain mode).  A
+  // socket-leg abort (watchdog, worker death) surfaces as a divergence like
+  // any other metric mismatch.  Differential cases cannot carry the
+  // decision recorder (one trace cannot serve two legs), so on violation
+  // the simulator leg is re-run alone, recorded: if it reproduces the
+  // failure the case shrinks normally; if it comes back clean the failure
+  // is a genuine substrate divergence, which is reported unshrunk (the
+  // shrinker's candidates replay single legs only) with a trace of the
+  // clean simulator leg attached for inspection.  The in-process threaded
+  // executor is cross-checked by parallel_diff below.
   bool differential = false;
-  // With differential: the non-oracle leg is the socket-process substrate
-  // (one worker OS process per protocol process, crashes as real SIGKILLs)
-  // instead of the thread substrate.  Everything else -- oracles, shrink
-  // policy, divergence reporting -- is identical; a socket-leg abort
-  // (watchdog, worker death) surfaces as a divergence like any other
-  // metric mismatch.  Ignored without differential.
-  bool differential_socket = false;
   // > 1: run every sync case TWICE on the simulator -- once with
   // round-parallel evaluation (RunOptions::sim_threads = parallel_diff) and
   // once serial -- and fail the case if the two executions differ in any

@@ -15,18 +15,16 @@ namespace dowork::harness {
 
 namespace {
 
-void print_usage(const char* argv0, const std::string& fixed_experiment) {
+void print_usage(const char* argv0) {
   std::printf("usage: %s [options]\n", argv0);
-  if (fixed_experiment.empty())
-    std::printf(
-        "  --experiment NAMES  experiment(s) to run: one name, a comma-separated\n"
-        "                      list, or 'all'; see --list\n");
   std::printf(
+      "  --experiment NAMES  experiment(s) to run: one name, a comma-separated\n"
+      "                      list, or 'all'; see --list\n"
       "  --jobs N            worker threads (default: hardware concurrency)\n"
       "  --json PATH         write the machine-readable report to PATH ('-' = stdout)\n"
       "  --filter SUBSTR     only run scenarios whose id contains SUBSTR\n"
       "  --backend WHICH     execution backend for sync scenarios: 'sim' (default),\n"
-      "                      'live' (thread substrate), or 'socket' (one worker OS\n"
+      "                      'live' (worker threads), or 'socket' (one worker OS\n"
       "                      process per protocol process over localhost sockets);\n"
       "                      both live backends use the deterministic schedule, so\n"
       "                      report rows are identical to sim's, with real\n"
@@ -60,12 +58,11 @@ void list_experiments() {
 
 }  // namespace
 
-int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
+int bench_main(int argc, char** argv) {
   // Socket-substrate workers re-execute this very binary; a worker argv
   // never looks like a bench invocation, so the hook is a no-op otherwise.
   if (int code = substrate::maybe_socket_worker(argc, argv); code >= 0) return code;
   BenchOptions opt;
-  opt.experiment = fixed_experiment;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -76,11 +73,6 @@ int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
       return argv[++i];
     };
     if (arg == "--experiment") {
-      if (!fixed_experiment.empty()) {
-        std::fprintf(stderr, "%s: this binary is pinned to experiment '%s'\n", argv[0],
-                     fixed_experiment.c_str());
-        return 2;
-      }
       opt.experiment = next();
     } else if (arg == "--jobs") {
       const char* value = next();
@@ -135,11 +127,11 @@ int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
-      print_usage(argv[0], fixed_experiment);
+      print_usage(argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg.c_str());
-      print_usage(argv[0], fixed_experiment);
+      print_usage(argv[0]);
       return 2;
     }
   }

@@ -662,7 +662,7 @@ std::vector<Scenario> sim_microbench_scenarios() {
   return out;
 }
 
-// --- differential / live_throughput: the live thread substrate --------------
+// --- differential / live_throughput: the live backends ---------------------
 
 // The simulator as differential oracle (src/substrate/differential.h): the
 // deterministic groups run every case on both backends and fail the row on
@@ -766,7 +766,7 @@ std::vector<Scenario> differential_scenarios() {
   return out;
 }
 
-// Real units/sec on the thread substrate next to the same shapes' simulated
+// Real units/sec on the live backend next to the same shapes' simulated
 // rows: sim/live scenario pairs whose deterministic row data is
 // byte-identical (the oracle contract); the live rows additionally carry
 // units_per_sec in the --timing section.
@@ -942,7 +942,7 @@ const std::vector<ExperimentInfo>& all_experiments() {
        "schedule where the OS scheduler is a real adversary.",
        differential_scenarios},
       {"live_throughput", "Live substrate throughput (no paper table)",
-       "Real units/sec on the thread substrate beside the same shapes' simulated rows "
+       "Real units/sec on the live backend beside the same shapes' simulated rows "
        "(A/B/D, failure-free and cascade): deterministic row data is byte-identical "
        "across backends; --timing carries wall-clock and units_per_sec.",
        live_throughput_scenarios},

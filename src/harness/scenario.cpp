@@ -85,7 +85,7 @@ RunOptions sync_run_options(const Scenario& s, int rep) {
 
 // Live-substrate knobs the scenario's params can set: the socket backend's
 // transport (params["transport_tcp"] = 1 picks TCP over the UDS default).
-// Harmless on the thread backend, which ignores the transport field.
+// Harmless on the live backend, which ignores the transport field.
 substrate::LiveOptions scenario_live_options(const Scenario& s) {
   substrate::LiveOptions live;
   if (s.param_or("transport_tcp", 0) == 1) live.transport = substrate::Transport::kTcp;
@@ -139,9 +139,9 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       // deterministic schedule; free-schedule rows are nondeterministic
       // anyway (that is their point), so the columns are safe either way.
       if (r.run.metrics.crashes) {
-        row.extra.emplace_back("kill_send", std::to_string(r.stats.kills_send_commit));
-        row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills_mid_broadcast));
-        row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills_round_barrier));
+        row.extra.emplace_back("kill_send", std::to_string(r.stats.kills.send_commit));
+        row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills.mid_broadcast));
+        row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills.round_barrier));
       }
       return;
     }
@@ -149,7 +149,7 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       substrate::DiffOptions opts;
       opts.run = sync_run_options(s, rep);
       // params["socket"] = 1 makes the non-oracle leg the socket-process
-      // substrate instead of the thread substrate; the simulator stays the
+      // substrate instead of the live backend; the simulator stays the
       // oracle either way.
       if (s.param_or("socket", 0) == 1) {
         opts.live_backend = substrate::Backend::kSocket;

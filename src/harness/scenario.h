@@ -25,9 +25,9 @@ namespace dowork::harness {
 // registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord); the
 // others are the paper's model variants with their own simulators -- except
 // the last two, which are *execution* substrates over the same registry
-// protocols: kLive runs the scenario on the thread substrate
-// (src/substrate/, one worker thread per process; params["free_sched"] = 1
-// selects the free commit schedule), and kDifferential runs it on BOTH
+// protocols: kLive runs the scenario on the live backend (src/substrate/,
+// a supervised RoundPool; params["free_sched"] = 1 selects the free commit
+// schedule), and kDifferential runs it on BOTH
 // backends under the deterministic barrier schedule and fails the row on
 // any metric divergence (the simulator as oracle).
 enum class Substrate : std::uint8_t {
@@ -89,7 +89,7 @@ struct Scenario {
   std::function<std::unique_ptr<FaultInjector>(std::uint64_t rep)> injector_override;
   // CLI hook (dowork_bench --backend live|socket): execute this kSync
   // scenario on a live substrate under the deterministic barrier schedule
-  // instead of the simulator -- kLive is the thread substrate, kSocket the
+  // instead of the simulator -- kLive is the live backend, kSocket the
   // socket-process substrate (one worker OS process per protocol process;
   // params["transport_tcp"] = 1 selects TCP over the default UDS).  Row
   // data is byte-identical on every backend (the oracle contract), which
@@ -151,7 +151,7 @@ struct ScenarioResult {
   // the deterministic row data that CI byte-compares across --jobs values.
   double wall_ms = 0;
   // Live-substrate throughput (work units per wall-clock second), measured
-  // by src/substrate/ when the repetition ran on the thread backend; 0 on
+  // by src/substrate/ when the repetition ran on a live backend; 0 on
   // pure simulator rows.  Machine-dependent like wall_ms: it rides in the
   // JSON report's timing section only, never in the deterministic row data.
   double units_per_sec = 0;

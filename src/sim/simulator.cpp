@@ -265,14 +265,19 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
   if (plan) {
     retire(p, ProcState::kCrashed);
     ++metrics_.crashes;
-    if (executor_ != nullptr) {
-      // Classify the kill point for the live backend (simulator.h
-      // documents the taxonomy) so the worker thread actually stops where
-      // the adversary's plan cut the execution.
-      KillPoint kp = KillPoint::kRoundBarrier;
-      if (total > 0) kp = deliver < total ? KillPoint::kMidBroadcast : KillPoint::kSendCommit;
-      executor_->on_retire(static_cast<int>(p), ProcState::kCrashed, kp);
+    // Classify and count the kill point (simulator.h documents the
+    // taxonomy); the socket backend's executor kills its worker there.
+    KillPoint kp = KillPoint::kRoundBarrier;
+    if (total == 0) {
+      ++kills_.round_barrier;
+    } else if (deliver < total) {
+      kp = KillPoint::kMidBroadcast;
+      ++kills_.mid_broadcast;
+    } else {
+      kp = KillPoint::kSendCommit;
+      ++kills_.send_commit;
     }
+    if (executor_ != nullptr) executor_->on_retire(static_cast<int>(p), ProcState::kCrashed, kp);
   } else if (a.terminate) {
     retire(p, ProcState::kTerminated);
     ++metrics_.terminated;
@@ -486,7 +491,7 @@ RunMetrics Simulator::run() {
     try {
       step_round(r);
     } catch (AbortRun& abort) {
-      // Structured degradation (the thread substrate's watchdog): record
+      // Structured degradation (an executor's watchdog): record
       // the reason and return normally with partial metrics -- the verifier
       // turns it into a violation, never a hang or a crash.  Executors
       // throw before handing back any step, so the aborted round committed

@@ -71,8 +71,8 @@ enum class ProcState : std::uint8_t { kAlive, kCrashed, kTerminated };
 // Thrown by a StepExecutor to end the run with a structured outcome instead
 // of crashing or hanging: Simulator::run catches it, stamps
 // RunMetrics::aborted / aborted_reason, and returns normally (the verifier
-// then reports the reason as the violation).  The thread substrate's
-// watchdog throws it when a worker misses its round deadline.  Executors
+// then reports the reason as the violation).  A supervised RoundPool (the
+// live backend) throws it when a step misses its round deadline.  Executors
 // may only throw before handing back any evaluated step, so an aborted
 // round commits nothing.
 struct AbortRun {
@@ -83,13 +83,23 @@ struct AbortRun {
   std::string detail;
 };
 
-// How a committed CrashPlan stopped a process, as the live backend
-// classifies its kill points (DESIGN.md "Execution substrates"): a crash
-// whose delivery cut stops short of the flattened send sequence is a
-// mid-broadcast kill, a crash that let every send through (or had none to
-// cut on a sending round) is a send-commit kill, and a crash on a round
-// with no sends at all stops the thread at the round barrier.
+// How a committed CrashPlan stopped a process (DESIGN.md "Execution
+// substrates"): a crash whose delivery cut stops short of the flattened
+// send sequence is a mid-broadcast kill, a crash that let every send
+// through is a send-commit kill, and a crash on a round with no sends at
+// all stops the process at the round barrier.  The socket backend enacts
+// each class as a real signal.
 enum class KillPoint : std::uint8_t { kNone, kSendCommit, kMidBroadcast, kRoundBarrier };
+
+// Crashes by kill point, counted by Simulator::commit_step on every
+// execution path, so the census is the same whichever executor ran.
+struct KillCensus {
+  std::uint64_t send_commit = 0;
+  std::uint64_t mid_broadcast = 0;
+  std::uint64_t round_barrier = 0;
+  std::uint64_t total() const { return send_commit + mid_broadcast + round_barrier; }
+  bool operator==(const KillCensus&) const = default;
+};
 
 // The evaluation half of one step: runs process p's on_round against the
 // current round's inbox, exactly once, without committing anything.
@@ -109,8 +119,8 @@ class StepEval {
 
 // Executor hook for the round's evaluation phase.  The default (no
 // executor) is the serial in-place path, byte-identical to the historical
-// simulator; the thread substrate (src/substrate/) installs one that fans
-// evaluations out to per-process worker threads.  Commits always run on the
+// simulator; RoundPool (round_pool.h) fans evaluations out to worker
+// threads, and the socket backend to worker processes.  Commits always run on the
 // simulator's own thread, in the order the executor returns -- ascending
 // process id reproduces the serial interleaving exactly (the equivalence
 // argument lives in DESIGN.md "Execution substrates").
@@ -185,6 +195,7 @@ class Simulator final : public SimObservable, public StepEval {
   ProcState state_of(int proc) const { return state_[static_cast<std::size_t>(proc)]; }
   int alive_count() const { return alive_; }
   const RunMetrics& metrics() const { return metrics_; }
+  const KillCensus& kill_census() const { return kills_; }
 
   // SimObservable: the adaptive adversary's committed-state window
   // (sim/observable.h documents the contract).
@@ -320,6 +331,7 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
   Round cur_round_;                           // round being stepped (observable)
   RunMetrics metrics_;
+  KillCensus kills_;
   bool ran_ = false;
 };
 

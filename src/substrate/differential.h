@@ -39,8 +39,8 @@ struct DiffOptions {
   // deterministic; that's the mode with an equality oracle).
   std::uint64_t watchdog_ms = 10'000;
   std::uint64_t join_grace_ms = 2'000;
-  // Which live substrate supplies the non-oracle leg: worker threads
-  // (default) or worker OS processes over localhost sockets
+  // Which live substrate supplies the non-oracle leg: the live backend's
+  // pool threads (default) or worker OS processes over localhost sockets
   // (socket_substrate.h); transport applies to the latter only.
   Backend live_backend = Backend::kThread;
   Transport transport = Transport::kUds;
@@ -53,7 +53,7 @@ struct DiffResult {
   bool ok() const { return divergence.empty(); }
 };
 
-// Runs the case on the simulator, then on the thread substrate under the
+// Runs the case on the simulator, then on the live backend under the
 // deterministic barrier schedule, and checks: sim leg verifies, live leg
 // verifies, metrics equal.  The injector factory is called once per leg and
 // must produce independent injectors with identical deterministic behavior

@@ -261,9 +261,7 @@ class SocketExecutor final : public StepExecutor {
         conns_(static_cast<std::size_t>(cfg.t)),
         outbox_(static_cast<std::size_t>(cfg.t)),
         actions_(static_cast<std::size_t>(cfg.t)),
-        pending_(static_cast<std::size_t>(cfg.t), 0) {
-    stats_.threads = cfg.t;
-  }
+        pending_(static_cast<std::size_t>(cfg.t), 0) {}
 
   ~SocketExecutor() override { shutdown(); }
 
@@ -285,8 +283,6 @@ class SocketExecutor final : public StepExecutor {
   const Round& wake_of(int p) const { return conns_[static_cast<std::size_t>(p)].wake; }
   std::int64_t known_of(int p) const { return conns_[static_cast<std::size_t>(p)].known; }
 
-  const LiveStats& stats() const { return stats_; }
-
  private:
   void spawn_workers(const std::string& addr);
   [[noreturn]] void abort_run(const std::string& reason, const std::string& detail) {
@@ -306,7 +302,6 @@ class SocketExecutor final : public StepExecutor {
   DoAllConfig cfg_;
   std::optional<std::int64_t> param_;
   LiveOptions opts_;
-  LiveStats stats_{};
 
   int listen_fd_ = -1;
   std::string uds_path_;
@@ -640,12 +635,6 @@ void SocketExecutor::on_retire(int proc, ProcState state, KillPoint kp) {
     if (c.fd >= 0 && !c.eof) write_all(c.fd, wire::encode_exit());
     return;
   }
-  switch (kp) {
-    case KillPoint::kSendCommit: ++stats_.kills_send_commit; break;
-    case KillPoint::kMidBroadcast: ++stats_.kills_mid_broadcast; break;
-    case KillPoint::kRoundBarrier: ++stats_.kills_round_barrier; break;
-    case KillPoint::kNone: break;
-  }
   if (kp == KillPoint::kMidBroadcast && c.fd >= 0 && !c.eof) {
     // Tear offsets cycle through the frame header and into the body so the
     // reader's resynchronization is exercised at every boundary class.
@@ -693,7 +682,6 @@ void SocketExecutor::shutdown() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
   if (!uds_path_.empty()) ::unlink(uds_path_.c_str());
-  stats_.leaked = false;
 }
 
 }  // namespace
@@ -702,12 +690,6 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
                                 std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
                                 const LiveOptions& live) {
   cfg.validate();
-  Simulator::Options sim_opts;
-  sim_opts.strict_one_op = info.strict_one_op && opts.enforce_strict;
-  sim_opts.max_stepped_rounds = opts.max_stepped_rounds;
-  sim_opts.n_units = cfg.n;
-  sim_opts.net = opts.net;
-
   SocketExecutor executor(info, cfg, opts.protocol_param, live);
   LiveRunResult result;
   const auto start = Clock::now();
@@ -717,9 +699,10 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
     proxies.reserve(static_cast<std::size_t>(cfg.t));
     for (int p = 0; p < cfg.t; ++p)
       proxies.push_back(std::make_unique<SocketProxyProcess>(&executor, p));
-    Simulator sim(std::move(proxies), std::move(faults), sim_opts);
+    Simulator sim(std::move(proxies), std::move(faults), simulator_options(info, cfg, opts));
     sim.set_step_executor(&executor);
     result.run.metrics = sim.run();
+    result.stats.kills = sim.kill_census();
   } catch (AbortRun& abort) {
     // Setup failure (spawn/accept/hello): same structured degradation as a
     // mid-run watchdog abort -- mid-run AbortRuns are caught by sim.run()
@@ -731,7 +714,7 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
   executor.shutdown();
   const double secs = std::chrono::duration<double>(Clock::now() - start).count();
 
-  result.stats = executor.stats();
+  result.stats.threads = cfg.t;  // one worker process per protocol process
   result.stats.wall_seconds = secs;
   if (secs > 0 && result.run.metrics.work_total > 0)
     result.stats.units_per_sec = static_cast<double>(result.run.metrics.work_total) / secs;

@@ -1,26 +1,26 @@
-// The execution-substrate abstraction (ROADMAP item 4): the same IProcess
-// protocol objects, runnable on two backends.
+// The execution-substrate seam (ROADMAP item 4): the same IProcess
+// protocol objects, runnable on three backends.
 //
 //   * Backend::kSim    -- the deterministic synchronous Simulator
-//                         (src/sim/), behind a thin adapter.
-//   * Backend::kThread -- the live ThreadSubstrate: one worker thread per
-//                         process over the in-process channel fabric
-//                         (substrate/fabric.h), with real kill-point fault
-//                         injection (a crashed process's thread actually
-//                         stops) and a watchdog supervisor that turns a
-//                         hung worker into a structured abort instead of a
-//                         hung run.
+//                         (src/sim/), run_do_all.
+//   * Backend::kThread -- the live backend (--backend live): the same
+//                         Simulator with a supervised RoundPool
+//                         (sim/round_pool.h) evaluating every step on a
+//                         worker thread under a per-round watchdog that
+//                         turns a hung step into a structured abort instead
+//                         of a hung run.
 //   * Backend::kSocket -- the SocketSubstrate
 //                         (substrate/socket_substrate.h): one worker OS
 //                         process per protocol process over localhost
-//                         UDS/TCP, crash = SIGKILL at the same kill-point
-//                         taxonomy, process-grade supervision (connect/
-//                         accept/read deadlines, waitpid reaping).
+//                         UDS/TCP, crash = SIGKILL at the kill point the
+//                         plan chose (simulator.h's taxonomy), process-grade
+//                         supervision (connect/accept/read deadlines,
+//                         waitpid reaping).
 //
 // All backends drive the identical protocol code, fault injectors and
-// verifier; under the deterministic barrier schedule the live backends'
-// metrics match the simulator's field for field, which is what makes the
-// sim a differential-testing oracle (substrate/differential.h).
+// verifier; under the deterministic schedule the live backends' metrics
+// match the simulator's field for field, which is what makes the sim a
+// differential-testing oracle (substrate/differential.h).
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,8 @@ struct LiveOptions {
 
   // Teardown grace: how long join-all waits for workers to exit after
   // cancellation before declaring them leaked (a worker ignoring the
-  // cooperative cancel token; see run_cancelled() in fabric.h).  The socket
-  // backend uses the same budget for its waitpid reap before escalating to
+  // cooperative cancel flag; see run_cancelled() in sim/round_pool.h).  The
+  // socket backend uses the same budget for its waitpid reap before escalating to
   // SIGKILL (processes, unlike threads, can always be reaped -- the socket
   // backend never leaks).
   std::uint64_t join_grace_ms = 2'000;
@@ -76,10 +76,8 @@ struct LiveOptions {
 struct LiveStats {
   double wall_seconds = 0;
   double units_per_sec = 0;  // work_total / wall_seconds (0 when no work)
-  // Crashes by kill point (simulator.h documents the taxonomy).
-  std::uint64_t kills_send_commit = 0;
-  std::uint64_t kills_mid_broadcast = 0;
-  std::uint64_t kills_round_barrier = 0;
+  // Crashes by kill point: the simulator's census (simulator.h).
+  KillCensus kills;
   int threads = 0;      // workers spawned (threads or, on kSocket, processes)
   bool leaked = false;  // join-all gave up on a worker (its run is pinned)
 };
@@ -89,28 +87,14 @@ struct LiveRunResult {
   LiveStats stats;
 };
 
-// Live counterpart of run_do_all (core/runner.h): same protocol
-// instantiation (minus run-shared caches -- registry.h documents why),
-// same fault injector and verifier, executed on the thread substrate.
+// Live counterpart of run_do_all (core/runner.h): the same simulator,
+// protocol instantiation, fault injector and verifier, with a supervised
+// RoundPool of min(t, hardware_concurrency) workers as the executor.
 LiveRunResult run_live_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
                               const LiveOptions& live = {});
 LiveRunResult run_live_do_all(const std::string& protocol, const DoAllConfig& cfg,
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
                               const LiveOptions& live = {});
-
-// Uniform backend interface for callers that select at runtime.  run() has
-// run_do_all's contract on either backend; last_live_stats() reports the
-// most recent live run's stats (zeroes on the sim backend).
-class ISubstrate {
- public:
-  virtual ~ISubstrate() = default;
-  virtual const char* name() const = 0;
-  virtual RunResult run(const ProtocolInfo& info, const DoAllConfig& cfg,
-                        std::unique_ptr<FaultInjector> faults, const RunOptions& opts) = 0;
-  virtual LiveStats last_live_stats() const = 0;
-};
-
-std::unique_ptr<ISubstrate> make_substrate(Backend backend, LiveOptions live = {});
 
 }  // namespace dowork::substrate

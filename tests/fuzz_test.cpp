@@ -3,6 +3,10 @@
 // determinism across --jobs, and the planted-violation path -- a tightened
 // bound produces a violation whose shrunk reproducer still fails the same
 // way and replays bit-identically.
+//
+// The differential campaigns fork socket-substrate workers from this very
+// binary, so main() defers to maybe_socket_worker() before gtest (the same
+// shim as socket_substrate_test.cpp).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +19,7 @@
 #include "fuzz/trace.h"
 #include "harness/bounds.h"
 #include "harness/scenario.h"
+#include "substrate/socket_substrate.h"
 
 namespace dowork::fuzz {
 namespace {
@@ -148,8 +153,8 @@ TEST(FuzzCampaignTest, SmokeCampaignIsCleanAndJobsIndependent) {
 }
 
 TEST(FuzzCampaignTest, DifferentialModeRunsSyncCasesOnBothBackends) {
-  // --differential flips every sync case to the two-backend substrate; the
-  // oracle contract (src/substrate/differential.h) says the legs agree
+  // --differential flips every sync case to the sim-vs-socket substrate;
+  // the oracle contract (src/substrate/differential.h) says the legs agree
   // metric for metric, so a healthy campaign stays clean and every flipped
   // row reports the "differential" substrate.
   CampaignOptions opts;
@@ -295,3 +300,11 @@ TEST(FuzzShrinkTest, ShrinkRejectsAPassingCase) {
 
 }  // namespace
 }  // namespace dowork::fuzz
+
+// Worker re-entry shim: coordinator-spawned re-executions of this binary
+// must run the worker loop, not the test suite.
+int main(int argc, char** argv) {
+  if (int code = dowork::substrate::maybe_socket_worker(argc, argv); code >= 0) return code;
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

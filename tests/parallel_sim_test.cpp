@@ -1,12 +1,17 @@
 // The round-parallel core's determinism proof harness (sim/round_pool.h).
 //
-// Two layers:
+// Three layers:
 //   * RoundPoolTest -- the pool against a fake StepEval: ordered commit
 //     (ascending id, whatever thread evaluated what), genuine cross-thread
 //     evaluation (a gated eval that cannot finish until two shards run
 //     concurrently -- also the TSan workout), the inline small-round path,
-//     and the abort contract (first failure in shard order, nothing
-//     appended).
+//     the abort contract (first failure in shard order, nothing appended),
+//     and supervised mode: the watchdog, the free order and the cooperative
+//     cancel flag.
+//   * WatchdogTest -- the live backend (run_live_do_all) end to end: a
+//     deliberately wedged process must produce a structured abort within
+//     the round deadline -- never a hung run -- and teardown must join
+//     every worker when the wedge honors cooperative cancellation.
 //   * ParallelSimTest -- the real simulator serial vs --sim-threads {2,4,8}:
 //     metric-for-metric and report-byte equality over fuzz-generator-sampled
 //     (protocol x shape x FaultSpec) cases, and targeted Protocol D runs
@@ -28,8 +33,10 @@
 
 #include "core/runner.h"
 #include "fuzz/generator.h"
+#include "harness/fault_spec.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
+#include "substrate/substrate.h"
 
 namespace dowork {
 namespace {
@@ -157,6 +164,311 @@ TEST(RoundPoolTest, AbortSurfacesFirstFailureInShardOrderWithNothingAppended) {
   eval.also_fail_on = -1;
   pool.run_steps(eval, Round{2u}, steps, out);
   EXPECT_EQ(out.size(), steps.size());
+}
+
+// --- supervised mode: the live backend's executor ---------------------------
+
+RoundPool::Supervision supervision(std::uint64_t deadline_ms, bool free_order = false) {
+  RoundPool::Supervision sup;
+  sup.deadline_ms = deadline_ms;
+  sup.join_grace_ms = 10'000;
+  sup.free_order = free_order;
+  return sup;
+}
+
+// Evaluates like RecordingEval, except that `wedged` spins until the pool
+// cancels it -- the only way out of a running std::thread -- and `slow`
+// takes 100 ms.
+class WedgeEval final : public StepEval {
+ public:
+  explicit WedgeEval(int wedged, int slow = -1) : wedged_(wedged), slow_(slow) {}
+  Action eval_step(int proc) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads.insert(std::this_thread::get_id());
+      if (run_cancelled()) saw_cancel_early = true;
+    }
+    evaluated.fetch_add(1);
+    if (proc == wedged_) {
+      while (!run_cancelled()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      released.store(true);
+    }
+    if (proc == slow_) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Action a;
+    a.work = proc + 1;
+    return a;
+  }
+
+  std::atomic<int> evaluated{0};
+  std::atomic<bool> released{false};
+  bool saw_cancel_early = false;
+  std::set<std::thread::id> threads;
+
+ private:
+  const int wedged_;
+  const int slow_;
+  std::mutex mu_;
+};
+
+TEST(RoundPoolTest, SupervisedWedgedStepAbortsWithinDeadline) {
+  WedgeEval eval(/*wedged=*/5);
+  const std::vector<int> steps = iota_steps(8);  // outlives the pool
+  RoundPool pool(2, supervision(200));
+  std::vector<StepExecutor::Ready> out;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    pool.run_steps(eval, Round{3u}, steps, out);
+    FAIL() << "expected the watchdog to abort the round";
+  } catch (const AbortRun& abort) {
+    EXPECT_NE(abort.reason.find("watchdog"), std::string::npos) << abort.reason;
+    EXPECT_NE(abort.reason.find("proc 5"), std::string::npos) << abort.reason;
+    EXPECT_EQ(abort.detail.rfind("cause=watchdog proc=5 missing=1", 0), 0u) << abort.detail;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(200));
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  EXPECT_TRUE(out.empty());
+  // The wedge honors cancellation, so every worker joins: no leak.
+  EXPECT_TRUE(pool.shutdown());
+  EXPECT_TRUE(eval.released.load());
+}
+
+TEST(RoundPoolTest, SupervisedDeterministicOrderIsAscendingOffTheCallingThread) {
+  // Every step is evaluated by a worker -- the dispatcher only supervises --
+  // and handed back in ascending id order, like the unsupervised pool.
+  WedgeEval eval(/*wedged=*/-1);
+  RoundPool pool(4, supervision(10'000));
+  EXPECT_EQ(pool.threads(), 4);
+  std::vector<int> steps;
+  for (int i = 0; i < 40; ++i) steps.push_back(3 * i + 1);
+  std::vector<StepExecutor::Ready> out;
+  pool.run_steps(eval, Round{1u}, steps, out);
+  ASSERT_EQ(out.size(), steps.size());
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].proc, steps[i]);
+  EXPECT_EQ(eval.threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(RoundPoolTest, SupervisedFreeOrderCommitsEveryStepExactlyOnce) {
+  // Free order hands steps back as they finished: any interleaving, but
+  // always a permutation of the step list, each with its own action.
+  WedgeEval eval(/*wedged=*/-1);
+  RoundPool pool(4, supervision(10'000, /*free_order=*/true));
+  const std::vector<int> steps = iota_steps(64);
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    std::vector<StepExecutor::Ready> out;
+    pool.run_steps(eval, Round{round}, steps, out);
+    std::vector<int> procs;
+    for (const StepExecutor::Ready& r : out) {
+      procs.push_back(r.proc);
+      ASSERT_TRUE(r.action.work.has_value());
+      EXPECT_EQ(*r.action.work, r.proc + 1);
+    }
+    std::sort(procs.begin(), procs.end());
+    EXPECT_EQ(procs, steps) << "round " << round;
+  }
+  // A slow first step is claimed first but finishes last, while the other
+  // worker serves the rest: it is handed back last.
+  WedgeEval slow_first(/*wedged=*/-1, /*slow=*/0);
+  RoundPool two(2, supervision(10'000, /*free_order=*/true));
+  std::vector<StepExecutor::Ready> out;
+  two.run_steps(slow_first, Round{1u}, iota_steps(8), out);
+  ASSERT_EQ(out.size(), 8u);
+  EXPECT_EQ(out.back().proc, 0);
+}
+
+TEST(RoundPoolTest, SupervisedStepFailureRethrowsFirstInStepOrder) {
+  // The unsupervised abort contract holds step by step: the serial loop
+  // would have hit proc 3 first, and nothing is handed back.
+  RecordingEval eval;
+  eval.fail_on = 20;
+  eval.also_fail_on = 3;
+  RoundPool pool(4, supervision(10'000));
+  const std::vector<int> steps = iota_steps(32);
+  std::vector<StepExecutor::Ready> out;
+  try {
+    pool.run_steps(eval, Round{1u}, steps, out);
+    FAIL() << "expected the step failure to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+  EXPECT_TRUE(out.empty());
+  eval.fail_on = -1;
+  eval.also_fail_on = -1;
+  pool.run_steps(eval, Round{2u}, steps, out);
+  EXPECT_EQ(out.size(), steps.size());
+}
+
+TEST(RoundPoolTest, SupervisedAbortStopsFurtherClaims) {
+  // One worker, wedged on proc 1: after the deadline no later step is
+  // started, and the abort counts every step left without a result.
+  WedgeEval eval(/*wedged=*/1);
+  const std::vector<int> steps = iota_steps(8);  // outlives the pool
+  RoundPool pool(1, supervision(200));
+  std::vector<StepExecutor::Ready> out;
+  try {
+    pool.run_steps(eval, Round{1u}, steps, out);
+    FAIL() << "expected the watchdog to abort the round";
+  } catch (const AbortRun& abort) {
+    EXPECT_EQ(abort.detail.rfind("cause=watchdog proc=1 missing=7", 0), 0u) << abort.detail;
+  }
+  EXPECT_TRUE(pool.shutdown());
+  EXPECT_EQ(eval.evaluated.load(), 2);
+}
+
+TEST(RoundPoolTest, SupervisedWorkerIgnoringCancelIsDetachedAsALeak) {
+  // A wedge that never polls run_cancelled() cannot be joined: shutdown()
+  // gives up after the join grace, detaches it and reports the leak.  The
+  // pool and the eval stay reachable forever (the zombie still uses them),
+  // exactly as run_live_do_all pins a leaked run.
+  static std::atomic<bool> release{false};
+  class DeafEval final : public StepEval {
+   public:
+    Action eval_step(int) override {
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return Action::none();
+    }
+  };
+  static DeafEval* eval = new DeafEval;
+  static const std::vector<int>* steps = new std::vector<int>{0};
+  RoundPool::Supervision sup = supervision(100);
+  sup.join_grace_ms = 100;
+  static RoundPool* pool = new RoundPool(2, sup);
+  std::vector<StepExecutor::Ready> out;
+  EXPECT_THROW(pool->run_steps(*eval, Round{1u}, *steps, out), AbortRun);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(pool->shutdown());
+  EXPECT_FALSE(pool->shutdown());  // idempotent
+  release.store(true);             // let the zombie finish; the pool stays pinned
+}
+
+TEST(RoundPoolTest, RunCancelledFalseOutsideWorkers) {
+  // The calling thread -- and so the serial simulator path and an
+  // unsupervised pool's inline rounds -- never sees a cancel flag.
+  EXPECT_FALSE(run_cancelled());
+  RoundPool pool(4, supervision(10'000));
+  EXPECT_TRUE(pool.shutdown());
+  EXPECT_FALSE(run_cancelled());
+}
+
+TEST(RoundPoolTest, RunCancelledTracksTheSupervisedPool) {
+  // Workers read their pool's flag: clear on a healthy round, set once the
+  // watchdog fires, which is what releases the wedged evaluation.
+  WedgeEval eval(/*wedged=*/2);
+  const std::vector<int> healthy = {0, 1, 3};
+  const std::vector<int> stalled = iota_steps(4);  // outlives the pool
+  RoundPool pool(2, supervision(200));
+  std::vector<StepExecutor::Ready> out;
+  pool.run_steps(eval, Round{1u}, healthy, out);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_FALSE(eval.saw_cancel_early);
+  out.clear();
+  EXPECT_THROW(pool.run_steps(eval, Round{2u}, stalled, out), AbortRun);
+  // The watchdog itself raised the flag: the wedge returns before shutdown.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!eval.released.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(eval.released.load());
+  EXPECT_TRUE(pool.shutdown());
+  EXPECT_FALSE(run_cancelled());
+}
+
+// --- the live backend end to end: watchdog supervision ----------------------
+
+// Spins inside on_round until the pool cancels it (the documented contract
+// for long-running protocol code).
+class WedgedProcess final : public IProcess {
+ public:
+  Action on_round(const RoundContext&, const InboxView&) override {
+    while (!run_cancelled()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Action::none();
+  }
+  Round next_wake(const Round& now) const override { return now; }
+  std::string describe() const override { return "wedged"; }
+};
+
+// Retires immediately: the other workers must not keep the run going.
+class QuitterProcess final : public IProcess {
+ public:
+  Action on_round(const RoundContext&, const InboxView&) override {
+    Action a;
+    a.terminate = true;
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return now; }
+};
+
+ProtocolInfo wedge_protocol(int wedged_proc) {
+  ProtocolInfo info;
+  info.name = "wedge_fixture";
+  info.sequential = false;
+  info.strict_one_op = false;
+  info.make_proc = [wedged_proc](const DoAllConfig&, int self) -> std::unique_ptr<IProcess> {
+    if (self == wedged_proc) return std::make_unique<WedgedProcess>();
+    return std::make_unique<QuitterProcess>();
+  };
+  return info;
+}
+
+TEST(WatchdogTest, WedgedWorkerAbortsStructurally) {
+  DoAllConfig cfg;
+  cfg.n = 4;
+  cfg.t = 4;
+  substrate::LiveOptions live;
+  live.watchdog_ms = 200;
+  live.join_grace_ms = 10'000;
+
+  const auto start = std::chrono::steady_clock::now();
+  substrate::LiveRunResult r = substrate::run_live_do_all(
+      wedge_protocol(/*wedged_proc=*/2), cfg, harness::FaultSpec::none().make(), RunOptions{},
+      live);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  // Structured degradation, not a hang: aborted metrics, the reason naming
+  // the watchdog and the stalled process, and the verifier surfacing it.
+  EXPECT_TRUE(r.run.metrics.aborted);
+  EXPECT_NE(r.run.metrics.aborted_reason.find("watchdog"), std::string::npos)
+      << r.run.metrics.aborted_reason;
+  EXPECT_NE(r.run.metrics.aborted_reason.find("proc 2"), std::string::npos)
+      << r.run.metrics.aborted_reason;
+  EXPECT_NE(r.run.violation.find("aborted"), std::string::npos) << r.run.violation;
+
+  // The cooperative wedge honors cancellation: every worker joined, nothing
+  // leaked, and the whole run finished well under CTest scale.
+  EXPECT_FALSE(r.stats.leaked);
+  EXPECT_EQ(r.stats.threads,
+            std::min(4, std::max(1, static_cast<int>(std::thread::hardware_concurrency()))));
+  EXPECT_LT(elapsed, std::chrono::seconds(60));
+}
+
+TEST(WatchdogTest, HealthyRunNeverTripsTheWatchdog) {
+  // All-quitter control: the same deadline, no wedge, clean verdict.
+  DoAllConfig cfg;
+  cfg.n = 4;
+  cfg.t = 4;
+  substrate::LiveOptions live;
+  live.watchdog_ms = 200;
+  substrate::LiveRunResult r = substrate::run_live_do_all(
+      wedge_protocol(/*wedged_proc=*/-1), cfg, harness::FaultSpec::none().make(), RunOptions{},
+      live);
+  EXPECT_FALSE(r.run.metrics.aborted);
+  EXPECT_FALSE(r.stats.leaked);
+}
+
+TEST(WatchdogTest, AbortCommitsNothingFromTheStalledRound) {
+  // The wedge stalls round 0, so no work at all commits: the abort happens
+  // before any of the round's evaluations are handed back.
+  DoAllConfig cfg;
+  cfg.n = 4;
+  cfg.t = 2;
+  substrate::LiveOptions live;
+  live.watchdog_ms = 200;
+  substrate::LiveRunResult r = substrate::run_live_do_all(
+      wedge_protocol(/*wedged_proc=*/0), cfg, harness::FaultSpec::none().make(), RunOptions{},
+      live);
+  EXPECT_TRUE(r.run.metrics.aborted);
+  EXPECT_EQ(r.run.metrics.work_total, 0u);
+  EXPECT_EQ(r.run.metrics.messages_total, 0u);
+  EXPECT_FALSE(r.stats.leaked);
 }
 
 // --- the real simulator: serial vs sharded, byte for byte -------------------

@@ -13,7 +13,7 @@
 #include "harness/fault_spec.h"
 #include "sim/round_pool.h"
 #include "substrate/differential.h"
-#include "substrate/thread_substrate.h"
+#include "substrate/substrate.h"
 
 namespace dowork {
 namespace {

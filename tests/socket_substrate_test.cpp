@@ -22,7 +22,8 @@
 #include "harness/fault_spec.h"
 #include "substrate/differential.h"
 #include "substrate/socket_substrate.h"
-#include "substrate/thread_substrate.h"
+#include "sim/round_pool.h"
+#include "substrate/substrate.h"
 
 namespace dowork::substrate {
 namespace {
@@ -94,10 +95,22 @@ TEST(SocketSubstrateTest, TcpTransportMatchesToo) {
   expect_socket_differential_ok("B", 64, 8, chunk_cascade(64, 8), Transport::kTcp);
 }
 
-TEST(SocketSubstrateTest, KillPointCensusMatchesThreadSubstrate) {
+// The serial simulator's kill-point census for one case (no executor), or
+// the same run with a RoundPool of `sim_threads` as the executor.
+KillCensus simulator_census(const std::string& protocol, const DoAllConfig& cfg,
+                            const FaultSpec& spec, int sim_threads = 1) {
+  const ProtocolInfo& info = find_protocol(protocol);
+  Simulator sim(make_processes(info, cfg), spec.make(), simulator_options(info, cfg, {}));
+  RoundPool pool(sim_threads, /*min_steps_per_shard=*/1);
+  if (sim_threads > 1) sim.set_step_executor(&pool);
+  sim.run();
+  return sim.kill_census();
+}
+
+TEST(SocketSubstrateTest, KillPointCensusMatchesSimulator) {
   // The census is plan-derived, so under the deterministic schedule the
-  // socket backend must classify every SIGKILL exactly as the thread
-  // backend classifies its simulated kills -- same case, same counts.
+  // socket backend must classify every SIGKILL exactly as the serial
+  // simulator classifies its simulated kills -- same case, same counts.
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
@@ -119,23 +132,38 @@ TEST(SocketSubstrateTest, KillPointCensusMatchesThreadSubstrate) {
   std::uint64_t send_commit = 0, mid_broadcast = 0, round_barrier = 0;
   for (const FaultSpec& spec : cases) {
     LiveRunResult sock = run_socket_do_all("B", cfg, spec.make());
-    LiveRunResult thr = run_live_do_all("B", cfg, spec.make());
     ASSERT_EQ(sock.run.violation, "") << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_send_commit, thr.stats.kills_send_commit) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_mid_broadcast, thr.stats.kills_mid_broadcast) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_send_commit + sock.stats.kills_mid_broadcast +
-                  sock.stats.kills_round_barrier,
-              sock.run.metrics.crashes)
-        << spec.to_string();
-    send_commit += sock.stats.kills_send_commit;
-    mid_broadcast += sock.stats.kills_mid_broadcast;
-    round_barrier += sock.stats.kills_round_barrier;
+    EXPECT_EQ(sock.stats.kills, simulator_census("B", cfg, spec)) << spec.to_string();
+    EXPECT_EQ(sock.stats.kills.total(), sock.run.metrics.crashes) << spec.to_string();
+    send_commit += sock.stats.kills.send_commit;
+    mid_broadcast += sock.stats.kills.mid_broadcast;
+    round_barrier += sock.stats.kills.round_barrier;
   }
   // Between them the cases exercise every kill-point class as a real
   // signal: full SIGKILL, torn-frame SIGKILL, and barrier SIGKILL.
   EXPECT_GT(send_commit, 0u);
   EXPECT_GT(mid_broadcast, 0u);
   EXPECT_GT(round_barrier, 0u);
+}
+
+TEST(SocketSubstrateTest, KillPointCensusEqualAcrossExecutors) {
+  // SubstrateTest.KillPointCensusMatchesCrashCount's shape on every
+  // execution path: the census is counted once, at commit, so the serial
+  // loop, --sim-threads 4, the live pool and the socket workers agree.
+  DoAllConfig cfg;
+  cfg.n = 64;
+  cfg.t = 8;
+  const FaultSpec spec = chunk_cascade(cfg.n, cfg.t);
+  const KillCensus serial = simulator_census("B", cfg, spec);
+  EXPECT_GT(serial.total(), 0u);
+  EXPECT_EQ(simulator_census("B", cfg, spec, /*sim_threads=*/4), serial);
+  LiveRunResult live = run_live_do_all("B", cfg, spec.make());
+  ASSERT_EQ(live.run.violation, "");
+  EXPECT_EQ(live.stats.kills, serial);
+  LiveRunResult sock = run_socket_do_all("B", cfg, spec.make());
+  ASSERT_EQ(sock.run.violation, "");
+  EXPECT_EQ(sock.stats.kills, serial);
+  EXPECT_EQ(serial.total(), sock.run.metrics.crashes);
 }
 
 TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
@@ -159,7 +187,7 @@ TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
     opts.live_backend = Backend::kSocket;
     DiffResult d = run_differential("B", c, [&] { return spec.make(); }, opts);
     ASSERT_EQ(d.divergence, "") << "nth=" << nth;
-    saw_mid_broadcast = d.live.stats.kills_mid_broadcast > 0;
+    saw_mid_broadcast = d.live.stats.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
 }

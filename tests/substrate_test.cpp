@@ -1,11 +1,14 @@
-// The live thread substrate against the simulator as differential oracle
-// (src/substrate/): metric-for-metric equality under the deterministic
-// barrier schedule across protocols and adversaries, paper bounds under the
-// free schedule, kill-point accounting, and clean join-all teardown.
+// The live backend (a supervised RoundPool, src/substrate/substrate.h)
+// against the simulator as differential oracle: metric-for-metric equality
+// under the deterministic schedule across protocols and adversaries, paper
+// bounds under the free schedule, kill-point accounting, and clean join-all
+// teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runner.h"
@@ -13,12 +16,17 @@
 #include "harness/fault_spec.h"
 #include "protocols/protocol_d.h"
 #include "substrate/differential.h"
-#include "substrate/thread_substrate.h"
+#include "substrate/substrate.h"
 
 namespace dowork::substrate {
 namespace {
 
 using harness::FaultSpec;
+
+// The live backend's pool width: one worker per core, never more than t.
+int pool_width(int t) {
+  return std::min(t, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+}
 
 // One differential case: sim leg, live deterministic leg, field-for-field
 // equal metrics and both legs verified.
@@ -31,7 +39,7 @@ void expect_differential_ok(const std::string& protocol, std::int64_t n, int t,
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string();
   EXPECT_FALSE(d.live.stats.leaked);
-  EXPECT_EQ(d.live.stats.threads, t);
+  EXPECT_EQ(d.live.stats.threads, pool_width(t));
 }
 
 FaultSpec chunk_cascade(std::int64_t n, int t) {
@@ -87,9 +95,23 @@ TEST(SubstrateTest, KillPointCensusMatchesCrashCount) {
   LiveRunResult r = run_live_do_all("B", cfg, spec.make());
   ASSERT_EQ(r.run.violation, "");
   EXPECT_GT(r.run.metrics.crashes, 0u);
-  EXPECT_EQ(r.stats.kills_send_commit + r.stats.kills_mid_broadcast + r.stats.kills_round_barrier,
-            r.run.metrics.crashes);
+  EXPECT_EQ(r.stats.kills.total(), r.run.metrics.crashes);
   EXPECT_FALSE(r.stats.leaked);
+}
+
+TEST(SubstrateTest, FreeScheduleKillCensusMatchesCrashCount) {
+  // The census is counted at commit, so it stays exact whatever order the
+  // free schedule commits in.
+  DoAllConfig cfg;
+  cfg.n = 64;
+  cfg.t = 8;
+  LiveOptions live;
+  live.schedule = LiveOptions::Schedule::kFree;
+  LiveRunResult r =
+      run_live_do_all("B", cfg, chunk_cascade(cfg.n, cfg.t).make(), RunOptions{}, live);
+  ASSERT_EQ(r.run.violation, "");
+  EXPECT_GT(r.run.metrics.crashes, 0u);
+  EXPECT_EQ(r.stats.kills.total(), r.run.metrics.crashes);
 }
 
 TEST(SubstrateTest, MidBroadcastKillsCutDeliveries) {
@@ -111,7 +133,7 @@ TEST(SubstrateTest, MidBroadcastKillsCutDeliveries) {
     e.plan.deliver_prefix = 1;
     LiveRunResult r = run_live_do_all("B", cfg, FaultSpec::scheduled({e}).make());
     ASSERT_EQ(r.run.violation, "") << "nth=" << nth;
-    saw_mid_broadcast = r.stats.kills_mid_broadcast > 0;
+    saw_mid_broadcast = r.stats.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
 }
@@ -158,29 +180,16 @@ TEST(SubstrateTest, FreeScheduleSatisfiesPaperBounds) {
   expect_free_schedule_within_bounds("D", 64, 8, FaultSpec::cascade(2, 3, 1), 3);
 }
 
-TEST(SubstrateTest, SimSubstrateAdapterMatchesRunDoAll) {
+TEST(SubstrateTest, LiveWorkersCappedAtHardwareConcurrency) {
+  // A t=1024 live run spawns one worker per core, not one per process.
   DoAllConfig cfg;
-  cfg.n = 64;
-  cfg.t = 8;
-  const FaultSpec spec = chunk_cascade(cfg.n, cfg.t);
-  auto sub = make_substrate(Backend::kSim);
-  EXPECT_STREQ(sub->name(), "sim");
-  RunResult via_adapter = sub->run(find_protocol("B"), cfg, spec.make(), RunOptions{});
-  RunResult direct = run_do_all("B", cfg, spec.make());
-  EXPECT_EQ(compare_metrics(direct.metrics, via_adapter.metrics), "");
-  EXPECT_EQ(sub->last_live_stats().threads, 0);
-}
-
-TEST(SubstrateTest, ThreadSubstrateAdapterReportsLiveStats) {
-  DoAllConfig cfg;
-  cfg.n = 64;
-  cfg.t = 8;
-  auto sub = make_substrate(Backend::kThread);
-  EXPECT_STREQ(sub->name(), "thread");
-  RunResult r = sub->run(find_protocol("B"), cfg, FaultSpec::none().make(), RunOptions{});
-  EXPECT_EQ(r.violation, "");
-  EXPECT_EQ(sub->last_live_stats().threads, 8);
-  EXPECT_GT(sub->last_live_stats().units_per_sec, 0.0);
+  cfg.n = 1024;
+  cfg.t = 1024;
+  LiveRunResult r = run_live_do_all("A", cfg, FaultSpec::none().make());
+  ASSERT_EQ(r.run.violation, "");
+  EXPECT_EQ(r.stats.threads, pool_width(cfg.t));
+  EXPECT_LE(r.stats.threads, static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  EXPECT_FALSE(r.stats.leaked);
 }
 
 TEST(SubstrateTest, BackendNames) {
