@@ -72,76 +72,86 @@ AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
   return nullptr;
 }
 
-ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
-                                   std::shared_ptr<AgreeRoundFold> fold)
-    : n_(cfg.n), t_(cfg.t), self_(self), fold_(std::move(fold)) {
-  cfg.validate();
-  s_ = DynBitset(static_cast<std::size_t>(n_), true);
-  t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
-  seen_.assign(static_cast<std::size_t>(t_), nullptr);
-  heard_ = DynBitset(static_cast<std::size_t>(t_));
-  grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
-}
-
-void ProtocolDProcess::enter_work_phase(const Round& now) {
-  // Figure 4 line 5: among the units still outstanding, take the slice of
-  // ceil(|S|/|T|) whose gradeS-rank matches our gradeT-rank.  The slice is
-  // located by rank directly in the bitset (select + find_next) instead of
-  // materializing all |S| outstanding units: every process re-derives the
-  // partition each phase, which made the O(n) flattening the second-largest
-  // cost of the t = 1024 scale row.
-  const std::int64_t left = static_cast<std::int64_t>(s_.count());
-  const std::uint64_t alive = std::max<std::uint64_t>(1, t_alive_.count());
-  const std::int64_t w = ceil_div(left, static_cast<std::int64_t>(alive));
-  my_slice_.clear();
-  slice_pos_ = 0;
-  if (t_alive_.test(static_cast<std::size_t>(self_))) {
+std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
+                        std::vector<std::int64_t>& slice) {
+  // The slice is located by rank directly in the bitset (select +
+  // find_next) instead of materializing all |S| outstanding units: every
+  // process re-derives the partition each phase, which made the O(n)
+  // flattening the second-largest cost of the t = 1024 scale row.
+  const std::int64_t left = static_cast<std::int64_t>(s.count());
+  const std::uint64_t members = std::max<std::uint64_t>(1, alive.count());
+  const std::int64_t w = ceil_div(left, static_cast<std::int64_t>(members));
+  slice.clear();
+  if (alive.test(static_cast<std::size_t>(self))) {
     const std::int64_t rank =
-        static_cast<std::int64_t>(t_alive_.count_prefix(static_cast<std::size_t>(self_)));
+        static_cast<std::int64_t>(alive.count_prefix(static_cast<std::size_t>(self)));
     const std::int64_t from = rank * w;
     const std::int64_t to = std::min<std::int64_t>(from + w, left);
     if (from < to) {
-      std::size_t i = s_.select(static_cast<std::uint64_t>(from));
-      for (std::int64_t k = from; k < to; ++k, i = s_.find_next(i + 1))
-        my_slice_.push_back(static_cast<std::int64_t>(i) + 1);
+      std::size_t i = s.select(static_cast<std::uint64_t>(from));
+      for (std::int64_t k = from; k < to; ++k, i = s.find_next(i + 1))
+        slice.push_back(static_cast<std::int64_t>(i) + 1);
     }
   }
-  // Everyone spends exactly ceil(|S|/|T|) rounds in the phase (line 7) so the
-  // agreement phases stay aligned.
-  work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-  // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-  for (std::int64_t u : my_slice_) s_.reset(static_cast<std::size_t>(u - 1));
+  return w;
 }
 
-void ProtocolDProcess::enter_agree_phase(const Round&) {
-  u_ = t_alive_;
-  audience_.reset();  // u_ changed; the shared audience set is stale
-  tn_ = DynBitset(static_cast<std::size_t>(t_));
-  tn_.set(static_cast<std::size_t>(self_));
-  sn_ = s_;
-  iter_ = 0;
-  done_ = false;
-}
-
-Action ProtocolDProcess::agree_broadcast(bool done) {
-  Action a;
-  if (!audience_) {
-    DynBitset bits = u_;
-    if (bits.test(static_cast<std::size_t>(self_))) bits.reset(static_cast<std::size_t>(self_));
-    audience_ = make_recipient_bits(std::move(bits));
+const AgreeMsg* merge_views(const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
+                            DynBitset& tn, DynBitset& heard) {
+  for (const AgreeMsg* msg : seen) {
+    if (msg && msg->done) {
+      sn = msg->s_left;
+      tn = msg->t_alive;
+      return msg;
+    }
   }
-  if (audience_->count > 0)
-    a.sends.push_back(
-        Outgoing{audience_, MsgKind::kAgreement, std::make_shared<AgreeMsg>(phase_, sn_, tn_, done)});
-  return a;
+  heard.reset_all();
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const AgreeMsg* msg = seen[i];
+    if (!msg) continue;
+    sn &= msg->s_left;
+    tn |= msg->t_alive;
+    heard.set(i);
+  }
+  return nullptr;
 }
 
-void ProtocolDProcess::finish_agree(const Round& now) {
-  const std::uint64_t old_alive = t_alive_.count();
-  s_ = sn_;
-  t_alive_ = tn_;
-  const std::uint64_t new_alive = std::max<std::uint64_t>(1, t_alive_.count());
+bool drop_silent(DynBitset& u, DynBitset& heard, int self) {
+  heard.set(static_cast<std::size_t>(self));
+  return u.retain(heard);
+}
 
+DPhaseCore::DPhaseCore(const DoAllConfig& cfg, int self) : t_(cfg.t), self_(self) {
+  cfg.validate();
+  s_ = DynBitset(static_cast<std::size_t>(cfg.n), true);
+  t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
+}
+
+bool DPhaseCore::work_round(const Round& now, Action& a) {
+  if (!work_entered_) {
+    work_entered_ = true;
+    slice_pos_ = 0;
+    work_end_ = now + Round{static_cast<std::uint64_t>(work_slice(s_, t_alive_, self_, my_slice_))};
+    // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
+    for (std::int64_t u : my_slice_) s_.reset(static_cast<std::size_t>(u - 1));
+  }
+  if (!(now < work_end_)) return false;
+  if (slice_pos_ < my_slice_.size()) a.work = my_slice_[slice_pos_++];
+  return true;
+}
+
+Round DPhaseCore::work_wake(const Round& now) const {
+  if (!work_entered_ || slice_pos_ < my_slice_.size()) return now;
+  return work_end_ > now ? work_end_ : now;
+}
+
+DPhaseCore::Outcome DPhaseCore::finish(const DynBitset& s, const DynBitset& t,
+                                        const Round& now) {
+  const std::uint64_t old_alive = t_alive_.count();
+  s_ = s;
+  t_alive_ = t;
+  const std::uint64_t new_alive = std::max<std::uint64_t>(1, t_alive_.count());
+  if (s_.none() || !t_alive_.test(static_cast<std::size_t>(self_))) return Outcome::kTerminate;
   if (old_alive > 2 * new_alive) {
     // Figure 4 lines 11-13: more than half the processes died this phase;
     // hand the leftovers to Protocol A (work-optimal regardless of failure
@@ -149,14 +159,9 @@ void ProtocolDProcess::finish_agree(const Round& now) {
     std::vector<std::int64_t> units;
     for (std::size_t i = s_.find_next(0); i < s_.size(); i = s_.find_next(i + 1))
       units.push_back(static_cast<std::int64_t>(i) + 1);
-    if (units.empty() || !t_alive_.test(static_cast<std::size_t>(self_))) {
-      terminated_ = true;
-      phase_kind_ = PhaseKind::kFinished;
-      return;
-    }
     // Renumber the agreed survivors 0..|T|-1 so Protocol A's deadlines scale
     // with the survivor count (Theorem 4.1 case 2 applies Theorem 2.3 with
-    // t/2 processes); the wrapper translates ids on the wire.
+    // t/2 processes).
     rank_to_id_.clear();
     id_to_rank_.assign(static_cast<std::size_t>(t_), -1);
     for (int i = 0; i < t_; ++i) {
@@ -169,20 +174,73 @@ void ProtocolDProcess::finish_agree(const Round& now) {
                     static_cast<int>(rank_to_id_.size())};
     revert_ = std::make_unique<ProtocolAProcess>(
         sub, id_to_rank_[static_cast<std::size_t>(self_)], now + Round{1}, std::move(units));
-    phase_kind_ = PhaseKind::kRevertA;
-    return;
-  }
-  if (s_.none() || !t_alive_.test(static_cast<std::size_t>(self_))) {
-    terminated_ = true;
-    phase_kind_ = PhaseKind::kFinished;
-    return;
+    return Outcome::kRevert;
   }
   ++phase_;
-  grace_ = 1;  // later phases absorb the <=1 round skew from done-adoption
-  phase_kind_ = PhaseKind::kWork;
   work_entered_ = false;
-  std::fill(seen_.begin(), seen_.end(), nullptr);
-  early_retained_.clear();
+  return Outcome::kContinue;
+}
+
+Action DPhaseCore::revert_round(const RoundContext& ctx, const InboxView& inbox) {
+  std::vector<Envelope> translated;
+  for (const Msg& msg : inbox) {
+    if (msg.from < 0 || id_to_rank_[static_cast<std::size_t>(msg.from)] < 0)
+      continue;  // stale pre-revert traffic
+    translated.push_back(Envelope{id_to_rank_[static_cast<std::size_t>(msg.from)], self_,
+                                  msg.kind, msg.sent_round(), msg.payload()});
+  }
+  Action a = revert_->on_round(ctx, translated);
+  // The embedded Protocol A addresses rank-space ranges; map them back to
+  // real ids (generally non-contiguous, so ranges become bit sets).
+  for (Outgoing& o : a.sends) o.to = remap_recipients(o.to, rank_to_id_, t_);
+  return a;
+}
+
+ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
+                                   std::shared_ptr<AgreeRoundFold> fold)
+    : t_(cfg.t), self_(self), core_(cfg, self), fold_(std::move(fold)) {
+  seen_.assign(static_cast<std::size_t>(t_), nullptr);
+  heard_ = DynBitset(static_cast<std::size_t>(t_));
+  grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
+}
+
+void ProtocolDProcess::enter_agree_phase() {
+  u_ = core_.t_alive();
+  audience_.reset();  // u_ changed; the shared audience set is stale
+  tn_ = DynBitset(static_cast<std::size_t>(t_));
+  tn_.set(static_cast<std::size_t>(self_));
+  sn_ = core_.s();
+  iter_ = 0;
+}
+
+Action ProtocolDProcess::agree_broadcast(bool done) {
+  Action a;
+  if (!audience_) {
+    DynBitset bits = u_;
+    if (bits.test(static_cast<std::size_t>(self_))) bits.reset(static_cast<std::size_t>(self_));
+    audience_ = make_recipient_bits(std::move(bits));
+  }
+  if (audience_->count > 0)
+    a.sends.push_back(Outgoing{audience_, MsgKind::kAgreement,
+                               std::make_shared<AgreeMsg>(core_.phase(), sn_, tn_, done)});
+  return a;
+}
+
+void ProtocolDProcess::finish_agree(const Round& now) {
+  switch (core_.finish(sn_, tn_, now)) {
+    case DPhaseCore::Outcome::kTerminate:
+      terminated_ = true;
+      return;
+    case DPhaseCore::Outcome::kRevert:
+      phase_kind_ = PhaseKind::kRevertA;
+      return;
+    case DPhaseCore::Outcome::kContinue:
+      grace_ = 1;  // later phases absorb the <=1 round skew from done-adoption
+      phase_kind_ = PhaseKind::kWork;
+      std::fill(seen_.begin(), seen_.end(), nullptr);
+      early_retained_.clear();
+      return;
+  }
 }
 
 Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
@@ -191,20 +249,7 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     a.terminate = true;
     return a;
   }
-  if (phase_kind_ == PhaseKind::kRevertA) {
-    std::vector<Envelope> translated;
-    for (const Msg& msg : inbox) {
-      if (msg.from < 0 || id_to_rank_[static_cast<std::size_t>(msg.from)] < 0)
-        continue;  // stale pre-revert traffic
-      translated.push_back(Envelope{id_to_rank_[static_cast<std::size_t>(msg.from)], self_,
-                                    msg.kind, msg.sent_round(), msg.payload()});
-    }
-    Action a = revert_->on_round(ctx, translated);
-    // The embedded Protocol A addresses rank-space ranges; map them back to
-    // real ids (generally non-contiguous, so ranges become bit sets).
-    for (Outgoing& o : a.sends) o.to = remap_recipients(o.to, rank_to_id_, t_);
-    return a;
-  }
+  if (phase_kind_ == PhaseKind::kRevertA) return core_.revert_round(ctx, inbox);
 
   // A round received in full folds from the run-shared summary instead of
   // walking the ledger; a work-phase recipient skips a ledger that holds no
@@ -217,13 +262,13 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   const std::vector<DeliveryRecord>* ledger = fold_ ? inbox.ledger() : nullptr;
   const AgreeRoundFold::View* view = nullptr;
   if (ledger && phase_kind_ == PhaseKind::kAgree && early_retained_.empty())
-    view = fold_->view(ctx.round, *ledger, self_, phase_);
+    view = fold_->view(ctx.round, *ledger, self_, core_.phase());
   const bool skip_inbox =
       view != nullptr ||
-      (ledger && phase_kind_ == PhaseKind::kWork && !fold_->has_phase(ctx.round, *ledger, phase_));
+      (ledger && phase_kind_ == PhaseKind::kWork && !fold_->has_phase(ctx.round, *ledger, core_.phase()));
   if (!skip_inbox) {
     for (const Msg& msg : inbox) {
-      if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
+      if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == core_.phase()) {
         seen_[static_cast<std::size_t>(msg.from)] = m;
         if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
       }
@@ -231,59 +276,33 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   }
 
   if (phase_kind_ == PhaseKind::kWork) {
-    if (!work_entered_) {
-      work_entered_ = true;
-      enter_work_phase(ctx.round);
-    }
-    if (ctx.round < work_end_) {
-      Action a;
-      if (slice_pos_ < my_slice_.size()) a.work = my_slice_[slice_pos_++];
-      return a;
-    }
+    if (Action a; core_.work_round(ctx.round, a)) return a;
     phase_kind_ = PhaseKind::kAgree;
-    enter_agree_phase(ctx.round);
+    enter_agree_phase();
     return agree_broadcast(false);  // iteration-0 broadcast
   }
 
   // Agreement phase, receive-check for iteration iter_ (peers' iteration-k
   // broadcasts arrive one simulator round after they were sent).  Without
-  // a shared view, fold the stashed messages the same way, straight into
-  // sn_/tn_ and heard_.
+  // a shared view, merge_views folds the stashed messages the same way.
   const AgreeMsg* adopt = nullptr;
   if (view) {
     adopt = view->adoptable(self_);
-  } else {
-    for (const AgreeMsg* msg : seen_) {
-      if (msg && msg->done) {
-        adopt = msg;
-        break;
-      }
-    }
-  }
-  bool removed_any = false;
-  if (adopt) {
-    sn_ = adopt->s_left;
-    tn_ = adopt->t_alive;
-  } else {
-    if (view) {
+    if (adopt) {
+      sn_ = adopt->s_left;
+      tn_ = adopt->t_alive;
+    } else {
       sn_ &= view->s_and;
       tn_ |= view->t_or;
       heard_ = view->senders;
-    } else {
-      heard_.reset_all();
-      for (std::size_t i = 0; i < seen_.size(); ++i) {
-        const AgreeMsg* msg = seen_[i];
-        if (!msg) continue;
-        sn_ &= msg->s_left;
-        tn_ |= msg->t_alive;
-        heard_.set(i);
-      }
     }
-    if (iter_ >= grace_) {
-      heard_.set(static_cast<std::size_t>(self_));
-      removed_any = u_.retain(heard_);  // silent => crashed
-      if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
-    }
+  } else {
+    adopt = merge_views(seen_, sn_, tn_, heard_);
+  }
+  bool removed_any = false;
+  if (!adopt && iter_ >= grace_) {
+    removed_any = drop_silent(u_, heard_, self_);
+    if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
   }
   if (!view) {
     std::fill(seen_.begin(), seen_.end(), nullptr);
@@ -305,20 +324,17 @@ Round ProtocolDProcess::next_wake(const Round& now) const {
   if (terminated_) return never_round();
   switch (phase_kind_) {
     case PhaseKind::kRevertA:
-      return revert_->next_wake(now);
+      return core_.revert_wake(now);
     case PhaseKind::kWork:
-      if (!work_entered_ || slice_pos_ < my_slice_.size()) return now;
-      return work_end_ > now ? work_end_ : now;
+      return core_.work_wake(now);
     case PhaseKind::kAgree:
       return now;
-    case PhaseKind::kFinished:
-      return now;  // wake once more to emit the terminate action
   }
   return never_round();
 }
 
 std::string ProtocolDProcess::describe() const {
-  return "ProtocolD[" + std::to_string(self_) + ",phase=" + std::to_string(phase_) + "]";
+  return "ProtocolD[" + std::to_string(self_) + ",phase=" + std::to_string(core_.phase()) + "]";
 }
 
 }  // namespace dowork

@@ -16,6 +16,14 @@
 // retires by round (f+1)n/t + 4f + 2.  Failure-free: n/t + 2 rounds and 2t^2
 // messages.
 //
+// Shared with the coordinator variant (protocol_d_coord.h): everything but
+// how the agreement messages travel.  DPhaseCore holds the work slice
+// (Figure 4 lines 5-8), the phase-finish/revert decision (lines 9-13) and
+// the rank<->id wrapper around the embedded Protocol A; merge_views and
+// drop_silent are the naive view merge.  Each variant keeps its own
+// agreement timing, grace iterations and per-phase resets.  This file adds
+// the broadcast agreement and AgreeRoundFold, its run-shared fast path.
+//
 // Model adaptation (see DESIGN.md): the paper's agreement loop sends and
 // receives within one round; our simulator delivers at the next round, so
 // the loop is pipelined -- the receive-check for iteration k inspects the
@@ -46,6 +54,75 @@ struct AgreeMsg final : Payload {
   bool done;
   AgreeMsg(int ph, DynBitset s, DynBitset t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
+};
+
+// Figure 4 line 5: process `self`'s slice of the outstanding units `s`
+// (unit u -> s[u-1]) among the processes `alive`.  Each member of `alive`
+// takes ceil(|S|/|T|) consecutive outstanding units by its rank in `alive`
+// (the last ranks may get fewer or none); a process outside `alive` gets
+// none.  Fills `slice` and returns the slice width, ceil(|S|/max(1,|T|)).
+std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
+                        std::vector<std::int64_t>& slice);
+
+// The naive merge of one agreement iteration, for inboxes without an
+// AgreeRoundFold View: `seen` holds the iteration's messages by sender
+// (null = silent).  If a sender's view is done, adopts the lowest-id one
+// into `sn`/`tn` and returns it.  Otherwise ANDs every s_left into `sn`, ORs
+// every t_alive into `tn`, sets `heard` to the senders and returns null.
+const AgreeMsg* merge_views(const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
+                            DynBitset& tn, DynBitset& heard);
+
+// After the grace iterations: adds `self` to `heard` and drops from `u`
+// every process outside it (silent => crashed); whether any was dropped.
+bool drop_silent(DynBitset& u, DynBitset& heard, int self);
+
+// The phase skeleton of both Protocol D variants: work phases, the decision
+// that ends each agreement, and the embedded Protocol A after a revert.
+class DPhaseCore {
+ public:
+  enum class Outcome { kContinue, kRevert, kTerminate };
+
+  DPhaseCore(const DoAllConfig& cfg, int self);
+
+  int phase() const { return phase_; }
+  const DynBitset& s() const { return s_; }  // outstanding units (unit u -> s()[u-1])
+  const DynBitset& t_alive() const { return t_alive_; }
+
+  // A work-phase round at `now`; the phase's first round takes the slice
+  // (lines 5-8).  Everyone spends exactly the slice width in rounds in the
+  // phase (line 7) so the agreement phases stay aligned: while they last,
+  // returns true with the next slice unit, if any, in `a`; then false.
+  bool work_round(const Round& now, Action& a);
+  Round work_wake(const Round& now) const;
+
+  // Lines 9-13 on the agreed view (S, T) at round `now`: kTerminate when no
+  // work is left or this process is not in T; kRevert when more than half
+  // the phase's processes were lost (Protocol A takes the leftovers from
+  // round now+1); otherwise kContinue into the next phase's work.
+  Outcome finish(const DynBitset& s, const DynBitset& t, const Round& now);
+
+  // A round after kRevert: the embedded Protocol A, run on rank-in-T ids.
+  Action revert_round(const RoundContext& ctx, const InboxView& inbox);
+  Round revert_wake(const Round& now) const { return revert_->next_wake(now); }
+
+ private:
+  int t_;
+  int self_;
+  int phase_ = 1;
+  DynBitset s_;
+  DynBitset t_alive_;
+
+  std::vector<std::int64_t> my_slice_;
+  std::size_t slice_pos_ = 0;
+  Round work_end_;  // round at which the agreement phase starts
+  bool work_entered_ = false;
+
+  // The paper's case-2 bounds assume Protocol A runs over the surviving
+  // processes only, so the embedded instance uses rank-in-T ids; the
+  // wrapper translates between ranks and real process ids on the wire.
+  std::unique_ptr<ProtocolAProcess> revert_;
+  std::vector<int> rank_to_id_;
+  std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
 };
 
 // Run-shared summary of one round's agreement broadcasts.  Every recipient
@@ -127,7 +204,7 @@ class ProtocolDProcess final : public IProcess {
   Round next_wake(const Round& now) const override;
   std::string describe() const override;
 
-  int phases_completed() const { return phase_ - 1; }
+  int phases_completed() const { return core_.phase() - 1; }
   bool reverted_to_a() const { return phase_kind_ == PhaseKind::kRevertA; }
 
   // Observability accessor (process.h): units outside the outstanding set S
@@ -136,31 +213,21 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(s_.size() - s_.count());
+    return static_cast<std::int64_t>(core_.s().size() - core_.s().count());
   }
 
  private:
-  enum class PhaseKind { kWork, kAgree, kRevertA, kFinished };
+  enum class PhaseKind { kWork, kAgree, kRevertA };
 
-  void enter_work_phase(const Round& now);
-  void enter_agree_phase(const Round& now);
+  void enter_agree_phase();
   Action agree_broadcast(bool done);
   void finish_agree(const Round& now);
 
-  std::int64_t n_;
   int t_;
   int self_;
-
+  DPhaseCore core_;
   PhaseKind phase_kind_ = PhaseKind::kWork;
-  int phase_ = 1;
-  DynBitset s_;  // outstanding units (unit u -> s_[u-1])
-  DynBitset t_alive_;
-
-  // Work-phase state.
-  std::vector<std::int64_t> my_slice_;
-  std::size_t slice_pos_ = 0;
-  Round work_end_;  // round at which the agreement phase starts
-  bool work_entered_ = false;
+  bool terminated_ = false;
 
   // Agreement-phase state (pipelined; see header comment).
   DynBitset u_;   // not yet known faulty this phase
@@ -174,7 +241,6 @@ class ProtocolDProcess final : public IProcess {
   std::shared_ptr<const RecipientBits> audience_;
   int iter_ = 0;
   int grace_ = 0;
-  bool done_ = false;
   // This phase's broadcasts, indexed by sender (null = silent); a flat
   // array instead of a map keeps the per-iteration bookkeeping O(t) with no
   // node allocation.  Raw pointers: during an agreement round the inbox owns
@@ -187,14 +253,6 @@ class ProtocolDProcess final : public IProcess {
   std::vector<std::shared_ptr<const Payload>> early_retained_;
   DynBitset heard_;  // reused buffer: senders heard this iteration, plus self
   std::shared_ptr<AgreeRoundFold> fold_;  // run-shared; null = merge naively
-
-  // Revert path.  The paper's case-2 bounds assume Protocol A runs over the
-  // surviving processes only, so the embedded instance uses rank-in-T ids;
-  // the wrapper translates between ranks and real process ids on the wire.
-  std::unique_ptr<ProtocolAProcess> revert_;
-  std::vector<int> rank_to_id_;
-  std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
-  bool terminated_ = false;
 };
 
 }  // namespace dowork

@@ -25,6 +25,11 @@
 // Failure-free cost per agreement phase: (t-1) reports + (t-1) final-view
 // messages = 2(t-1), at a constant number of extra (message-free) rounds
 // relative to the broadcast variant -- the trade the paper describes.
+//
+// Everything else is Protocol D's (protocol_d.h): a DPhaseCore runs the work
+// slice, the phase-finish/revert decision at R+8 and the reverted Protocol
+// A, and the coordinator's finalize and the fallback merge views through
+// merge_views/drop_silent.  This file owns only the routing and the windows.
 #pragma once
 
 #include "protocols/protocol_d.h"
@@ -41,44 +46,33 @@ class ProtocolDCoordProcess final : public IProcess {
   std::string describe() const override;
 
  private:
-  enum class PhaseKind { kWork, kAgrCoord, kAgrAwait, kAgrListen, kAgrFallback, kRevertA,
-                         kFinished };
+  enum class PhaseKind { kWork, kAgrCoord, kAgrAwait, kAgrListen, kAgrFallback, kRevertA };
 
   int coordinator() const;  // lowest-id process believed alive
-  void enter_work_phase(const Round& now);
-  Action broadcast_view(bool done);
-  void finish_phase(const Round& now);
+  // This phase's view (sn_, tn_) to every member of `who` but self.
+  Action send_view(const DynBitset& who, bool done) const;
+  void clear_seen();
+  Action finish_phase(const Round& now);
 
-  std::int64_t n_;
   int t_;
   int self_;
-
+  DPhaseCore core_;
   PhaseKind phase_kind_ = PhaseKind::kWork;
-  int phase_ = 1;
-  DynBitset s_, t_alive_;  // word-packed views, as in protocol_d.h
-
-  std::vector<std::int64_t> my_slice_;
-  std::size_t slice_pos_ = 0;
-  Round work_end_;  // == this phase's agreement entry round R
-  bool work_entered_ = false;
+  bool terminated_ = false;
 
   // Agreement state.
   DynBitset u_, tn_, sn_;
-  // This phase's messages, indexed by sender (null = silent); flat array
-  // for the same O(t)-no-allocation reason as in protocol_d.h.
-  std::vector<std::shared_ptr<const AgreeMsg>> seen_;
+  DynBitset heard_;  // reused buffer: the fallback's senders this iteration
+  // This phase's messages, indexed by sender (null = silent), as in
+  // protocol_d.h.  They are read rounds after they arrive (the coordinator
+  // collects over a window), so retained_ keeps every stashed payload alive
+  // until seen_ is cleared.
+  std::vector<const AgreeMsg*> seen_;
+  std::vector<std::shared_ptr<const Payload>> retained_;
   Round agr_entry_;        // R
-  bool report_sent_ = false;
-  bool final_broadcast_ = false;
   bool responded_ = false;
   int iter_ = 0;           // fallback iteration counter
-  bool in_fallback_ = false;
   Round resume_at_;        // next work-phase entry round
-
-  std::unique_ptr<ProtocolAProcess> revert_;
-  std::vector<int> rank_to_id_;
-  std::vector<int> id_to_rank_;
-  bool terminated_ = false;
 };
 
 }  // namespace dowork

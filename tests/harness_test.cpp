@@ -389,8 +389,11 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // protocol_c was captured from the pre-two-tier-Round binary (PR 3): its
 // rows' exact exponential round counts pin that promoted deadlines still
 // compare, format and order exactly as the flat 512-bit representation did.
+// protocol_d was captured before D and D_coord moved onto one shared phase
+// core (DPhaseCore): it pins D's T5/F4/T5b (revert) rows and D_coord's T10
+// rows.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
-                         ::testing::Values("smoke", "checkpoint_sweep", "protocol_c"),
+                         ::testing::Values("smoke", "checkpoint_sweep", "protocol_c", "protocol_d"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

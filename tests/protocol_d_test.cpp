@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <random>
 #include <sstream>
 #include <string>
 #include <typeinfo>
@@ -176,6 +177,115 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{128, 2, 1, 0}, SweepCase{40, 3, 3, 8}, SweepCase{512, 32, 3, 9},
         SweepCase{81, 81, 1, 0}, SweepCase{81, 81, 3, 10}));
 
+// The O(n) partition the coordinator variant used to carry, kept as the
+// reference for work_slice: flatten every outstanding unit, then take this
+// rank's ceil(|S|/|T|) of them.
+std::int64_t flatten_slice(const DynBitset& s, const DynBitset& alive, int self,
+                           std::vector<std::int64_t>& slice) {
+  std::vector<std::int64_t> outstanding;
+  for (std::size_t i = s.find_next(0); i < s.size(); i = s.find_next(i + 1))
+    outstanding.push_back(static_cast<std::int64_t>(i) + 1);
+  const std::uint64_t members = std::max<std::uint64_t>(1, alive.count());
+  const std::int64_t w = ceil_div(static_cast<std::int64_t>(outstanding.size()),
+                                  static_cast<std::int64_t>(members));
+  slice.clear();
+  if (alive.test(static_cast<std::size_t>(self))) {
+    const std::int64_t rank =
+        static_cast<std::int64_t>(alive.count_prefix(static_cast<std::size_t>(self)));
+    const std::int64_t from = rank * w;
+    const std::int64_t to =
+        std::min<std::int64_t>(from + w, static_cast<std::int64_t>(outstanding.size()));
+    for (std::int64_t k = from; k < to; ++k)
+      slice.push_back(outstanding[static_cast<std::size_t>(k)]);
+  }
+  return w;
+}
+
+DynBitset bits_of(std::size_t size, std::initializer_list<std::size_t> set) {
+  DynBitset b(size);
+  for (std::size_t i : set) b.set(i);
+  return b;
+}
+
+using Slices = std::vector<std::vector<std::int64_t>>;
+
+// Every process's work_slice against the reference; returns the slices.
+Slices slices_checked(const DynBitset& s, const DynBitset& alive) {
+  Slices out(alive.size());
+  for (std::size_t p = 0; p < alive.size(); ++p) {
+    std::vector<std::int64_t> want;
+    const std::int64_t w_want = flatten_slice(s, alive, static_cast<int>(p), want);
+    EXPECT_EQ(work_slice(s, alive, static_cast<int>(p), out[p]), w_want) << "self " << p;
+    EXPECT_EQ(out[p], want) << "self " << p;
+  }
+  return out;
+}
+
+TEST(ProtocolDSlice, FewerUnitsThanProcesses) {
+  // |S| = 3 over |T| = 8: width 1, ranks 3..7 idle.
+  const Slices got = slices_checked(bits_of(10, {1, 4, 8}), DynBitset(8, true));
+  EXPECT_EQ(got, (Slices{{2}, {5}, {9}, {}, {}, {}, {}, {}}));
+}
+
+TEST(ProtocolDSlice, UnitsNotDivisibleByProcesses) {
+  // |S| = 10 over |T| = 4: width 3, the last rank takes the remainder.
+  DynBitset s(12, true);
+  s.reset(0);
+  s.reset(6);
+  const Slices got = slices_checked(s, DynBitset(4, true));
+  EXPECT_EQ(got, (Slices{{2, 3, 4}, {5, 6, 8}, {9, 10, 11}, {12}}));
+  std::vector<std::int64_t> slice;
+  EXPECT_EQ(work_slice(DynBitset(10, true), DynBitset(4, true), 3, slice), 3);
+  EXPECT_EQ(slice, (std::vector<std::int64_t>{10}));
+}
+
+TEST(ProtocolDSlice, RankPastTheLastUnitGetsAnEmptySlice) {
+  // |S| = 5 over |T| = 4: width 2, so rank 3 starts at unit index 6 > |S|.
+  const Slices got = slices_checked(DynBitset(5, true), DynBitset(4, true));
+  EXPECT_EQ(got, (Slices{{1, 2}, {3, 4}, {5}, {}}));
+}
+
+TEST(ProtocolDSlice, ProcessOutsideTGetsNothingAndRanksSkipIt) {
+  // T = {0, 2, 5}: process 2 has rank 1, process 5 rank 2; 1, 3, 4 idle.
+  const Slices got = slices_checked(DynBitset(7, true), bits_of(6, {0, 2, 5}));
+  EXPECT_EQ(got, (Slices{{1, 2, 3}, {}, {4, 5, 6}, {}, {}, {7}}));
+  std::vector<std::int64_t> slice{42};
+  EXPECT_EQ(work_slice(DynBitset(7, true), bits_of(6, {0, 2, 5}), 4, slice), 3);
+  EXPECT_TRUE(slice.empty());
+}
+
+TEST(ProtocolDSlice, SingleProcessTakesEverything) {
+  const Slices got = slices_checked(bits_of(9, {0, 3, 7, 8}), DynBitset(1, true));
+  EXPECT_EQ(got, (Slices{{1, 4, 8, 9}}));
+}
+
+TEST(ProtocolDSlice, NothingLeftOrNobodyAlive) {
+  slices_checked(DynBitset(9), DynBitset(4, true));   // |S| = 0: width 0
+  slices_checked(DynBitset(9, true), DynBitset(4));   // |T| = 0 counts as 1
+}
+
+TEST(ProtocolDSlice, MatchesTheFlattenReferenceOnRandomViews) {
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 300;
+    const std::size_t t = 1 + rng() % 70;
+    DynBitset s(n), alive(t);
+    const std::uint64_t s_density = rng() % 5, t_density = rng() % 5;
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng() % 4 < s_density) s.set(i);
+    for (std::size_t i = 0; i < t; ++i)
+      if (rng() % 4 < t_density) alive.set(i);
+    // The slices of T's members tile S in unit order.
+    std::vector<std::int64_t> tiled;
+    for (const auto& slice : slices_checked(s, alive))
+      tiled.insert(tiled.end(), slice.begin(), slice.end());
+    std::vector<std::int64_t> all;
+    for (std::size_t i = s.find_next(0); i < s.size(); i = s.find_next(i + 1))
+      all.push_back(static_cast<std::int64_t>(i) + 1);
+    EXPECT_EQ(tiled, alive.none() ? std::vector<std::int64_t>{} : all) << "trial " << trial;
+  }
+}
+
 class ProtocolDRandom : public ::testing::TestWithParam<unsigned> {};
 
 // The run-shared AgreeRoundFold is a pure summary: with and without it,
@@ -183,7 +293,7 @@ class ProtocolDRandom : public ::testing::TestWithParam<unsigned> {};
 // per-unit breakdowns -- must be identical, including under mid-broadcast
 // prefix cuts (which send the recipients past the cut to the naive merge)
 // and random schedules.
-TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
+TEST(ProtocolD, RoundFoldIsObservablyInvisible) {
   const DoAllConfig cfg{96, 12};
   auto run_with = [&](bool folded, std::unique_ptr<FaultInjector> faults) {
     auto fold = folded ? std::make_shared<AgreeRoundFold>(cfg) : nullptr;
@@ -555,7 +665,7 @@ TEST(ProtocolDParallel, SharedFoldMatchesNullFoldOnEveryExecutor) {
 // End to end: the fold under a genuinely sharded simulator round must stay
 // observably invisible -- folded + sharded vs naive + serial, identical
 // metrics -- including the mid-broadcast cuts that send recipients naive.
-TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
+TEST(ProtocolDParallel, RoundFoldInvisibleUnderShardedRounds) {
   const DoAllConfig cfg{96, 12};
   auto faults = [] {
     return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
