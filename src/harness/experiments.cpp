@@ -590,7 +590,7 @@ std::vector<Scenario> related_models_scenarios() {
 // family sweeps t = 64..16384 with n = 16t under worst-case cascades (the
 // t = 2048 and 4096 rows were added once the two-tier Round and the lazy
 // A/B plan made them affordable; t = 8192 and 16384 once the round-parallel
-// core let --sim-threads soak the big rows).  Three model-imposed caveats,
+// core let --sim-threads soak the big rows).  Two model-imposed caveats,
 // documented in DESIGN.md:
 //   * Protocol C's deadlines are ~2^(n+t) rounds and must fit Round's
 //     promoted 512-bit representation, so its rows ride at the largest
@@ -599,10 +599,9 @@ std::vector<Scenario> related_models_scenarios() {
 //   * Protocol D's message bill is (4f+2)t^2: its adversary uses a fixed
 //     budget of f = 16 crashes so the sweep measures the t^2 growth rather
 //     than drowning in an O(t^3) worst case.
-//   * Protocol D stops at t = 8192: every process keeps its own n-bit
-//     views and every agreement broadcast copies them, O(t*n) bits per
-//     round (several GB at t = 16384), so the top tier is A/B-only until
-//     shared view snapshots (ROADMAP) shrink it.
+// Protocol D runs every tier: its processes and broadcasts alias shared
+// n-bit views (protocol_d.h), so a round holds O(n) view bits per distinct
+// view rather than O(t*n).
 std::vector<Scenario> scale_scenarios() {
   std::vector<Scenario> out;
   for (int t : {64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}) {
@@ -615,14 +614,12 @@ std::vector<Scenario> scale_scenarios() {
       s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
       out.push_back(std::move(s));
     }
-    if (t <= 8192) {
-      const int f = std::min(t / 2 - 1, 16);
-      Scenario s = sync_scenario("t=" + std::to_string(t) + "/D", "D", n, t,
-                                 FaultSpec::cascade(2, f, 0));
-      s.params["bound_work_2n"] = 2 * n;
-      s.params["bound_msgs"] = (4 * static_cast<std::int64_t>(f) + 2) * t * t;
-      out.push_back(std::move(s));
-    }
+    const int f = std::min(t / 2 - 1, 16);
+    Scenario d = sync_scenario("t=" + std::to_string(t) + "/D", "D", n, t,
+                               FaultSpec::cascade(2, f, 0));
+    d.params["bound_work_2n"] = 2 * n;
+    d.params["bound_msgs"] = (4 * static_cast<std::int64_t>(f) + 2) * t * t;
+    out.push_back(std::move(d));
     if (t <= 256) {
       const std::int64_t cn = 440 - t;  // 512-bit deadline budget: n + t <= 440
       const std::int64_t T = pow2_ceil(t);

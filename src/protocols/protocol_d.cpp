@@ -50,7 +50,6 @@ AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
         ph->view.by_sender.assign(t, nullptr);
         ph->view.senders = DynBitset(t);
         ph->view.done = DynBitset(t);
-        ph->view.s_and = DynBitset(static_cast<std::size_t>(n_), true);
         ph->view.t_or = DynBitset(t);
       }
       View& v = ph->view;
@@ -59,7 +58,13 @@ AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
       v.by_sender[from] = m;
       v.senders.set(from);
       if (m->done) v.done.set(from);
-      v.s_and &= m->s_left;
+      if (!v.s_and) {
+        v.s_and = m->s_left;
+      } else if (m->s_left.get() != ph->last_s) {
+        if (!ph->s_copy) v.s_and = ph->s_copy = std::make_shared<DynBitset>(*v.s_and);
+        *ph->s_copy &= *m->s_left;
+      }
+      ph->last_s = m->s_left.get();
       v.t_or |= m->t_alive;
       reached.reset_all();
       rec.to.mark_prefix(reached, rec.cut);
@@ -96,9 +101,10 @@ std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
   return w;
 }
 
-const AgreeMsg* merge_views(const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                            DynBitset& tn, DynBitset& heard) {
-  for (const AgreeMsg* msg : seen) {
+const AgreeMsg* merge_views(const SeenViews& seen, SharedBits& sn, DynBitset& tn,
+                            DynBitset& heard) {
+  const std::vector<const AgreeMsg*>& by_sender = seen.by_sender();
+  for (const AgreeMsg* msg : by_sender) {
     if (msg && msg->done) {
       sn = msg->s_left;
       tn = msg->t_alive;
@@ -106,13 +112,18 @@ const AgreeMsg* merge_views(const std::vector<const AgreeMsg*>& seen, DynBitset&
     }
   }
   heard.reset_all();
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    const AgreeMsg* msg = seen[i];
+  std::shared_ptr<DynBitset> merged;  // sn's copy, made by the first view that is not sn
+  for (std::size_t i = 0; i < by_sender.size(); ++i) {
+    const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
-    sn &= msg->s_left;
+    if (msg->s_left != sn) {
+      if (!merged) merged = std::make_shared<DynBitset>(*sn);
+      *merged &= *msg->s_left;
+    }
     tn |= msg->t_alive;
     heard.set(i);
   }
+  if (merged) sn = std::move(merged);
   return nullptr;
 }
 
@@ -123,7 +134,7 @@ bool drop_silent(DynBitset& u, DynBitset& heard, int self) {
 
 DPhaseCore::DPhaseCore(const DoAllConfig& cfg, int self) : t_(cfg.t), self_(self) {
   cfg.validate();
-  s_ = DynBitset(static_cast<std::size_t>(cfg.n), true);
+  s_ = std::make_shared<const DynBitset>(static_cast<std::size_t>(cfg.n), true);
   t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
 }
 
@@ -131,9 +142,14 @@ bool DPhaseCore::work_round(const Round& now, Action& a) {
   if (!work_entered_) {
     work_entered_ = true;
     slice_pos_ = 0;
-    work_end_ = now + Round{static_cast<std::uint64_t>(work_slice(s_, t_alive_, self_, my_slice_))};
+    work_end_ = now + Round{static_cast<std::uint64_t>(work_slice(*s_, t_alive_, self_, my_slice_))};
     // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-    for (std::int64_t u : my_slice_) s_.reset(static_cast<std::size_t>(u - 1));
+    // S may be aliased by views, so the slice comes off a fresh copy.
+    if (!my_slice_.empty()) {
+      auto s = std::make_shared<DynBitset>(*s_);
+      for (std::int64_t u : my_slice_) s->reset(static_cast<std::size_t>(u - 1));
+      s_ = std::move(s);
+    }
   }
   if (!(now < work_end_)) return false;
   if (slice_pos_ < my_slice_.size()) a.work = my_slice_[slice_pos_++];
@@ -145,19 +161,18 @@ Round DPhaseCore::work_wake(const Round& now) const {
   return work_end_ > now ? work_end_ : now;
 }
 
-DPhaseCore::Outcome DPhaseCore::finish(const DynBitset& s, const DynBitset& t,
-                                        const Round& now) {
+DPhaseCore::Outcome DPhaseCore::finish(SharedBits s, const DynBitset& t, const Round& now) {
   const std::uint64_t old_alive = t_alive_.count();
-  s_ = s;
+  s_ = std::move(s);
   t_alive_ = t;
   const std::uint64_t new_alive = std::max<std::uint64_t>(1, t_alive_.count());
-  if (s_.none() || !t_alive_.test(static_cast<std::size_t>(self_))) return Outcome::kTerminate;
+  if (s_->none() || !t_alive_.test(static_cast<std::size_t>(self_))) return Outcome::kTerminate;
   if (old_alive > 2 * new_alive) {
     // Figure 4 lines 11-13: more than half the processes died this phase;
     // hand the leftovers to Protocol A (work-optimal regardless of failure
     // pattern) rather than risking the adaptive-adversary lower bound.
     std::vector<std::int64_t> units;
-    for (std::size_t i = s_.find_next(0); i < s_.size(); i = s_.find_next(i + 1))
+    for (std::size_t i = s_->find_next(0); i < s_->size(); i = s_->find_next(i + 1))
       units.push_back(static_cast<std::int64_t>(i) + 1);
     // Renumber the agreed survivors 0..|T|-1 so Protocol A's deadlines scale
     // with the survivor count (Theorem 4.1 case 2 applies Theorem 2.3 with
@@ -198,8 +213,7 @@ Action DPhaseCore::revert_round(const RoundContext& ctx, const InboxView& inbox)
 
 ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
                                    std::shared_ptr<AgreeRoundFold> fold)
-    : t_(cfg.t), self_(self), core_(cfg, self), fold_(std::move(fold)) {
-  seen_.assign(static_cast<std::size_t>(t_), nullptr);
+    : t_(cfg.t), self_(self), core_(cfg, self), seen_(cfg.t), fold_(std::move(fold)) {
   heard_ = DynBitset(static_cast<std::size_t>(t_));
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
@@ -237,7 +251,7 @@ void ProtocolDProcess::finish_agree(const Round& now) {
     case DPhaseCore::Outcome::kContinue:
       grace_ = 1;  // later phases absorb the <=1 round skew from done-adoption
       phase_kind_ = PhaseKind::kWork;
-      std::fill(seen_.begin(), seen_.end(), nullptr);
+      seen_.clear();
       early_retained_.clear();
       return;
   }
@@ -269,7 +283,7 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   if (!skip_inbox) {
     for (const Msg& msg : inbox) {
       if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == core_.phase()) {
-        seen_[static_cast<std::size_t>(msg.from)] = m;
+        seen_.stash(msg.from, m);
         if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
       }
     }
@@ -292,7 +306,15 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
       sn_ = adopt->s_left;
       tn_ = adopt->t_alive;
     } else {
-      sn_ &= view->s_and;
+      // The own record aliasing sn_ proves sn_ & s_and == s_and.
+      const AgreeMsg* own = view->by_sender[static_cast<std::size_t>(self_)];
+      if (own != nullptr && own->s_left == sn_) {
+        sn_ = view->s_and;
+      } else if (view->s_and != sn_) {
+        auto merged = std::make_shared<DynBitset>(*sn_);
+        *merged &= *view->s_and;
+        sn_ = std::move(merged);
+      }
       tn_ |= view->t_or;
       heard_ = view->senders;
     }
@@ -305,7 +327,7 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
   }
   if (!view) {
-    std::fill(seen_.begin(), seen_.end(), nullptr);
+    seen_.clear();
     early_retained_.clear();
   }
   const bool stable = !removed_any && iter_ >= grace_;

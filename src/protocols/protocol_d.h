@@ -19,10 +19,11 @@
 // Shared with the coordinator variant (protocol_d_coord.h): everything but
 // how the agreement messages travel.  DPhaseCore holds the work slice
 // (Figure 4 lines 5-8), the phase-finish/revert decision (lines 9-13) and
-// the rank<->id wrapper around the embedded Protocol A; merge_views and
-// drop_silent are the naive view merge.  Each variant keeps its own
-// agreement timing, grace iterations and per-phase resets.  This file adds
-// the broadcast agreement and AgreeRoundFold, its run-shared fast path.
+// the rank<->id wrapper around the embedded Protocol A; SeenViews,
+// merge_views and drop_silent are the naive view merge.  Each variant
+// keeps its own agreement timing, grace iterations and per-phase resets.
+// This file adds the broadcast agreement and AgreeRoundFold, its
+// run-shared fast path.
 //
 // Model adaptation (see DESIGN.md): the paper's agreement loop sends and
 // receives within one round; our simulator delivers at the next round, so
@@ -44,15 +45,24 @@
 
 namespace dowork {
 
+// An outstanding-unit set S as an immutable object shared by reference.
+// After one agreement iteration every survivor holds the same S, so the
+// processes, their broadcasts and the round fold alias one n-bit object
+// instead of each holding a copy; a holder that needs a different set
+// builds a new object and repoints (see DPhaseCore::work_round and
+// merge_views).
+using SharedBits = std::shared_ptr<const DynBitset>;
+
 // Views are word-packed (util/bitset.h): an agreement iteration merges up
 // to t of these (once per round through a shared fold, per recipient
-// without one), so the packing keeps the merges cheap at scale.
+// without one), so the packing keeps the merges cheap at scale.  s_left
+// aliases the sender's current S; t_alive (t bits) is a copy.
 struct AgreeMsg final : Payload {
   int phase;          // work/agreement phase number, 1-based
-  DynBitset s_left;   // outstanding units, indexed unit-1
+  SharedBits s_left;  // outstanding units, indexed unit-1; never null
   DynBitset t_alive;  // processes believed correct
   bool done;
-  AgreeMsg(int ph, DynBitset s, DynBitset t, bool d)
+  AgreeMsg(int ph, SharedBits s, DynBitset t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
@@ -64,13 +74,36 @@ struct AgreeMsg final : Payload {
 std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
                         std::vector<std::int64_t>& slice);
 
+// One agreement iteration's messages by sender for the naive merge, as
+// raw pointers whose payloads the caller keeps alive.  The t-entry table is
+// allocated on the first stash and released by clear(): a process that
+// merges through AgreeRoundFold never holds one (a table per process would
+// be O(t^2) pointers).  A later message from the same sender replaces the
+// earlier one, whatever order the messages arrive in.
+class SeenViews {
+ public:
+  explicit SeenViews(int t) : t_(t) {}
+
+  void stash(int from, const AgreeMsg* m) {
+    if (by_sender_.empty()) by_sender_.assign(static_cast<std::size_t>(t_), nullptr);
+    by_sender_[static_cast<std::size_t>(from)] = m;
+  }
+  // Indexed by sender (null = silent); empty when nothing was stashed.
+  const std::vector<const AgreeMsg*>& by_sender() const { return by_sender_; }
+  void clear() { std::vector<const AgreeMsg*>().swap(by_sender_); }
+
+ private:
+  int t_;
+  std::vector<const AgreeMsg*> by_sender_;
+};
+
 // The naive merge of one agreement iteration, for inboxes without an
-// AgreeRoundFold View: `seen` holds the iteration's messages by sender
-// (null = silent).  If a sender's view is done, adopts the lowest-id one
-// into `sn`/`tn` and returns it.  Otherwise ANDs every s_left into `sn`, ORs
+// AgreeRoundFold View.  If a sender's view is done, adopts the lowest-id
+// one into `sn`/`tn` and returns it.  Otherwise ANDs every s_left into `sn`
+// (into a fresh object, made only if some s_left is not `sn` itself), ORs
 // every t_alive into `tn`, sets `heard` to the senders and returns null.
-const AgreeMsg* merge_views(const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                            DynBitset& tn, DynBitset& heard);
+const AgreeMsg* merge_views(const SeenViews& seen, SharedBits& sn, DynBitset& tn,
+                            DynBitset& heard);
 
 // After the grace iterations: adds `self` to `heard` and drops from `u`
 // every process outside it (silent => crashed); whether any was dropped.
@@ -85,13 +118,16 @@ class DPhaseCore {
   DPhaseCore(const DoAllConfig& cfg, int self);
 
   int phase() const { return phase_; }
-  const DynBitset& s() const { return s_; }  // outstanding units (unit u -> s()[u-1])
+  // Outstanding units (unit u -> s()[u-1]), shared with views that alias it.
+  const SharedBits& s() const { return s_; }
   const DynBitset& t_alive() const { return t_alive_; }
 
   // A work-phase round at `now`; the phase's first round takes the slice
   // (lines 5-8).  Everyone spends exactly the slice width in rounds in the
   // phase (line 7) so the agreement phases stay aligned: while they last,
   // returns true with the next slice unit, if any, in `a`; then false.
+  // Dropping the slice from S clones S: the one private copy a process
+  // makes per phase.
   bool work_round(const Round& now, Action& a);
   Round work_wake(const Round& now) const;
 
@@ -99,7 +135,7 @@ class DPhaseCore {
   // work is left or this process is not in T; kRevert when more than half
   // the phase's processes were lost (Protocol A takes the leftovers from
   // round now+1); otherwise kContinue into the next phase's work.
-  Outcome finish(const DynBitset& s, const DynBitset& t, const Round& now);
+  Outcome finish(SharedBits s, const DynBitset& t, const Round& now);
 
   // A round after kRevert: the embedded Protocol A, run on rank-in-T ids.
   Action revert_round(const RoundContext& ctx, const InboxView& inbox);
@@ -109,7 +145,7 @@ class DPhaseCore {
   int t_;
   int self_;
   int phase_ = 1;
-  DynBitset s_;
+  SharedBits s_;
   DynBitset t_alive_;
 
   std::vector<std::int64_t> my_slice_;
@@ -136,14 +172,24 @@ class DPhaseCore {
 // missed (a crash-cut prefix, an audience that excludes it) gets none.
 //
 // Bit-identical to the naive merge: a View includes the recipient's own
-// broadcast, which the recipient never hears, but that record's s_left and
-// t_alive are exactly its current sn/tn (a D process in kAgree broadcast
-// them last round and has not touched them since; a done broadcast ends the
-// phase, so the own record is never done either), and AND/OR are
-// idempotent, associative and commutative.  A phase where some sender
-// broadcast twice has no View either.  Without a View the process merges
-// naively, as it does with early arrivals retained, after reverting to A,
-// and on envelope-mode or network-path inboxes.
+// broadcast, which the recipient never hears.  A D process in kAgree
+// broadcast its sn/tn last round and has not touched them since (a done
+// broadcast ends the phase, so the own record is never done either), so
+// when the own record's s_left is the recipient's sn_ object, s_and is a
+// subset of sn_ and the recipient takes s_and by pointer; OR is idempotent,
+// so the own t_alive changes no bit of tn.  A recipient whose own record is
+// missing (its audience was empty, so it sent none) or holds another object
+// ANDs s_and into a copy of its sn_ instead.  A phase where some sender
+// broadcast twice has no View.  Without a View the process merges naively,
+// as it does with early arrivals retained, after reverting to A, and on
+// envelope-mode or network-path inboxes.
+//
+// Sharing: s_and starts as the phase's first s_left object and becomes a
+// private copy only when a record brings a different one; a record whose
+// s_left is the previous record's object is skipped.  So once every sender
+// aliases one S -- every iteration after the first of an agreement phase
+// -- the senders, the View and every in-mask recipient hold that one
+// object, and a round allocates no n-bit set.
 //
 // Threading: requests are mutex-guarded and order-independent, so one fold
 // serves the serial simulator, RoundPool shards and live worker threads.  A
@@ -159,11 +205,11 @@ class AgreeRoundFold {
     std::vector<const AgreeMsg*> by_sender;  // null = no broadcast
     DynBitset senders;  // t bits: the entries present
     DynBitset done;     // t bits: those whose broadcast had done set
-    DynBitset s_and;    // n bits: AND of their s_left
+    SharedBits s_and;   // n bits: AND of their s_left
     DynBitset t_or;     // t bits: OR of their t_alive
   };
 
-  explicit AgreeRoundFold(const DoAllConfig& cfg) : n_(cfg.n), t_(cfg.t) {}
+  explicit AgreeRoundFold(const DoAllConfig& cfg) : t_(cfg.t) {}
 
   // Whether `ledger`, the ledger of `round`, holds an AgreeMsg of `phase`.
   bool has_phase(const Round& round, const std::vector<DeliveryRecord>& ledger, int phase);
@@ -179,6 +225,8 @@ class AgreeRoundFold {
     bool duplicate = false;
     DynBitset reached_by_all;  // recipients that hear every other record
     View view;
+    std::shared_ptr<DynBitset> s_copy;  // view.s_and once it is private
+    const DynBitset* last_s = nullptr;  // the previous record's s_left
   };
 
   // The entry of `phase` in `round`'s summary (null if the round has no
@@ -187,7 +235,6 @@ class AgreeRoundFold {
   // lasts until the next round is summarized.
   Phase* phase_of(const Round& round, const std::vector<DeliveryRecord>& ledger, int phase);
 
-  std::int64_t n_;
   int t_;
   std::mutex mu_;  // guards the round summary below
   const std::vector<DeliveryRecord>* ledger_ = nullptr;  // summarized round
@@ -213,7 +260,7 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(core_.s().size() - core_.s().count());
+    return static_cast<std::int64_t>(core_.s()->size() - core_.s()->count());
   }
 
  private:
@@ -232,7 +279,10 @@ class ProtocolDProcess final : public IProcess {
   // Agreement-phase state (pipelined; see header comment).
   DynBitset u_;   // not yet known faulty this phase
   DynBitset tn_;  // T being accumulated
-  DynBitset sn_;  // S being intersected
+  // S being intersected, aliased from where it was built: this phase's
+  // S (DPhaseCore::s()), then the fold's s_and, an adopted view or a
+  // merge's result.
+  SharedBits sn_;
   // The broadcast audience (u_ minus self) as the shared immutable set the
   // ledger records alias (sim/message.h).  Rebuilt lazily whenever u_
   // changes; between changes -- every iteration of a stable agreement --
@@ -241,15 +291,13 @@ class ProtocolDProcess final : public IProcess {
   std::shared_ptr<const RecipientBits> audience_;
   int iter_ = 0;
   int grace_ = 0;
-  // This phase's broadcasts, indexed by sender (null = silent); a flat
-  // array instead of a map keeps the per-iteration bookkeeping O(t) with no
-  // node allocation.  Raw pointers: during an agreement round the inbox owns
-  // the payloads for the whole on_round call and seen_ is consumed and
-  // cleared before returning; only messages that arrive *early* -- while we
-  // are still in the work phase -- outlive their inbox, and those are kept
-  // alive by early_retained_ (refcount churn per message was measurable at
-  // t = 1024, where an iteration stashes ~t messages).
-  std::vector<const AgreeMsg*> seen_;
+  // This phase's broadcasts for the naive merge.  During an agreement
+  // round the inbox owns the payloads for the whole on_round call and seen_
+  // is consumed and cleared before returning; only messages that arrive
+  // *early* -- while we are still in the work phase -- outlive their inbox,
+  // and those are kept alive by early_retained_ (refcount churn per message
+  // was measurable at t = 1024, where an iteration stashes ~t messages).
+  SeenViews seen_;
   std::vector<std::shared_ptr<const Payload>> early_retained_;
   DynBitset heard_;  // reused buffer: senders heard this iteration, plus self
   std::shared_ptr<AgreeRoundFold> fold_;  // run-shared; null = merge naively

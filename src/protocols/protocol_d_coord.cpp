@@ -11,8 +11,7 @@ constexpr std::uint64_t kResumeAt = 8;    // next work phase at R + 8
 }  // namespace
 
 ProtocolDCoordProcess::ProtocolDCoordProcess(const DoAllConfig& cfg, int self)
-    : t_(cfg.t), self_(self), core_(cfg, self) {
-  seen_.assign(static_cast<std::size_t>(t_), nullptr);
+    : t_(cfg.t), self_(self), core_(cfg, self), seen_(cfg.t) {
   heard_ = DynBitset(static_cast<std::size_t>(t_));
 }
 
@@ -35,7 +34,7 @@ Action ProtocolDCoordProcess::send_view(const DynBitset& who, bool done) const {
 }
 
 void ProtocolDCoordProcess::clear_seen() {
-  std::fill(seen_.begin(), seen_.end(), nullptr);
+  seen_.clear();
   retained_.clear();
 }
 
@@ -68,7 +67,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
 
   for (const Msg& msg : inbox) {
     if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == core_.phase()) {
-      seen_[static_cast<std::size_t>(msg.from)] = m;
+      seen_.stash(msg.from, m);
       retained_.push_back(msg.payload());
     }
   }
@@ -131,7 +130,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     // An adopter that hears fallback traffic re-broadcasts the final view;
     // the fallback's done-adoption then re-unifies everyone.
     bool fallback_heard = false;
-    for (const AgreeMsg* msg : seen_)
+    for (const AgreeMsg* msg : seen_.by_sender())
       if (msg && !msg->done) fallback_heard = true;
     clear_seen();
     if (fallback_heard && !responded_) {

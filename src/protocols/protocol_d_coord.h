@@ -61,13 +61,14 @@ class ProtocolDCoordProcess final : public IProcess {
   bool terminated_ = false;
 
   // Agreement state.
-  DynBitset u_, tn_, sn_;
+  DynBitset u_, tn_;
+  SharedBits sn_;
   DynBitset heard_;  // reused buffer: the fallback's senders this iteration
-  // This phase's messages, indexed by sender (null = silent), as in
-  // protocol_d.h.  They are read rounds after they arrive (the coordinator
-  // collects over a window), so retained_ keeps every stashed payload alive
-  // until seen_ is cleared.
-  std::vector<const AgreeMsg*> seen_;
+  // This phase's messages for the naive merge, as in protocol_d.h.  They
+  // are read rounds after they arrive (the coordinator collects over a
+  // window), so retained_ keeps every stashed payload alive until seen_ is
+  // cleared.
+  SeenViews seen_;
   std::vector<std::shared_ptr<const Payload>> retained_;
   Round agr_entry_;        // R
   bool responded_ = false;

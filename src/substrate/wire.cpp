@@ -110,7 +110,7 @@ void Writer::payload(const Payload* p) {
   } else if (const auto* m = detail::payload_as<AgreeMsg>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kAgree));
     i32(m->phase);
-    bitset(m->s_left);
+    bitset(*m->s_left);  // the shared view's bits: aliasing never shows on the wire
     bitset(m->t_alive);
     u8(m->done ? 1 : 0);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {
@@ -237,7 +237,7 @@ std::shared_ptr<const Payload> BodyReader::payload() {
       return std::make_shared<PollReplyC>();
     case PayloadTag::kAgree: {
       const int phase = i32();
-      DynBitset s = bitset();
+      auto s = std::make_shared<const DynBitset>(bitset());
       DynBitset t = bitset();
       const bool done = u8() != 0;
       return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);

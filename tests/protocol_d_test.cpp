@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <initializer_list>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <typeinfo>
@@ -288,52 +291,119 @@ TEST(ProtocolDSlice, MatchesTheFlattenReferenceOnRandomViews) {
 
 class ProtocolDRandom : public ::testing::TestWithParam<unsigned> {};
 
+// Passes crash decisions through to `inner` and opts into message faults
+// without faulting any message, which routes delivery through the network
+// path: inboxes there carry per-record sent rounds and expose no ledger.
+class NetworkPathFaults final : public FaultInjector {
+ public:
+  explicit NetworkPathFaults(std::unique_ptr<FaultInjector> inner) : inner_(std::move(inner)) {}
+  std::optional<CrashPlan> inspect(int proc, const Round& round, const Action& action,
+                                   const SimSnapshot& snap) override {
+    return inner_->inspect(proc, round, action, snap);
+  }
+  bool wants_message_faults() const override { return true; }
+
+ private:
+  std::unique_ptr<FaultInjector> inner_;
+};
+
 // The run-shared AgreeRoundFold is a pure summary: with and without it,
 // every metric of the run -- work, messages, rounds, per-process and
-// per-unit breakdowns -- must be identical, including under mid-broadcast
-// prefix cuts (which send the recipients past the cut to the naive merge)
-// and random schedules.
+// per-unit breakdowns -- must be identical.  The schedules cover each path
+// that declines the fold: mid-broadcast prefix cuts (recipients past the
+// cut), the one round of skew a cut leaves behind (views arriving early,
+// during the work phase), a majority loss (revert to Protocol A), the
+// network delivery path (no ledger) and random schedules.
 TEST(ProtocolD, RoundFoldIsObservablyInvisible) {
   const DoAllConfig cfg{96, 12};
-  auto run_with = [&](bool folded, std::unique_ptr<FaultInjector> faults) {
+  // Also counts the processes that reverted to Protocol A.
+  auto run_with = [&](bool folded, std::unique_ptr<FaultInjector> faults, int& reverted) {
     auto fold = folded ? std::make_shared<AgreeRoundFold>(cfg) : nullptr;
     std::vector<std::unique_ptr<IProcess>> procs;
-    for (int i = 0; i < cfg.t; ++i)
-      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold));
+    std::vector<const ProtocolDProcess*> raw;
+    for (int i = 0; i < cfg.t; ++i) {
+      auto d = std::make_unique<ProtocolDProcess>(cfg, i, fold);
+      raw.push_back(d.get());
+      procs.push_back(std::move(d));
+    }
     Simulator::Options opts;
     opts.strict_one_op = true;
     opts.n_units = cfg.n;
-    return run_simulation(std::move(procs), std::move(faults), opts);
+    Simulator sim(std::move(procs), std::move(faults), opts);
+    const RunMetrics m = sim.run();
+    reverted = static_cast<int>(
+        std::count_if(raw.begin(), raw.end(), [](auto* d) { return d->reverted_to_a(); }));
+    return m;
   };
-  auto faults = [] {
-    // Crashes landing in work rounds AND mid-agreement-broadcast (half the
-    // audience cut), so shared views and naive merges are both exercised.
-    return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
-        {2, 3, CrashPlan{false, 0}},
-        {5, 9, CrashPlan{true, 5}},
-        {7, 11, CrashPlan{true, 2}},
-    });
+  using Entries = std::vector<ScheduledFaults::Entry>;
+  // Crashes landing in work rounds AND mid-agreement-broadcast (5's view
+  // reaches 0-4 only, so 6-11 merge naively and finish phase 1 a round
+  // after 0-4, whose phase-2 views then reach them during their work).
+  const Entries cut = {
+      {2, 3, CrashPlan{false, 0}},
+      {5, 9, CrashPlan{true, 5}},
+      {7, 11, CrashPlan{true, 2}},
   };
-  RunMetrics with = run_with(true, faults());
-  RunMetrics without = run_with(false, faults());
-  EXPECT_EQ(with.work_total, without.work_total);
-  EXPECT_EQ(with.messages_total, without.messages_total);
-  EXPECT_EQ(with.last_retire_round, without.last_retire_round);
-  EXPECT_EQ(with.stepped_rounds, without.stepped_rounds);
-  EXPECT_EQ(with.crashes, without.crashes);
-  EXPECT_EQ(with.unit_multiplicity, without.unit_multiplicity);
-  EXPECT_EQ(with.work_by_proc, without.work_by_proc);
-  EXPECT_EQ(with.messages_by_proc, without.messages_by_proc);
-  EXPECT_EQ(with.messages_by_kind, without.messages_by_kind);
-
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    RunMetrics a = run_with(true, std::make_unique<RandomFaults>(0.05, 11, seed));
-    RunMetrics b = run_with(false, std::make_unique<RandomFaults>(0.05, 11, seed));
-    EXPECT_EQ(a.work_total, b.work_total) << "seed " << seed;
-    EXPECT_EQ(a.messages_total, b.messages_total) << "seed " << seed;
-    EXPECT_EQ(a.last_retire_round, b.last_retire_round) << "seed " << seed;
-    EXPECT_EQ(a.work_by_proc, b.work_by_proc) << "seed " << seed;
+  Entries majority;  // 7 of 12 die in phase 1: the survivors revert to A
+  for (int p = 0; p < 7; ++p) majority.push_back({p, 2, CrashPlan{true, 0}});
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<FaultInjector>()> make;
+  };
+  std::vector<Case> cases = {
+      {"cut", [&] { return std::make_unique<ScheduledFaults>(cut); }},
+      {"majority", [&] { return std::make_unique<ScheduledFaults>(majority); }},
+      {"network cut",
+       [&] { return std::make_unique<NetworkPathFaults>(std::make_unique<ScheduledFaults>(cut)); }},
+  };
+  for (unsigned seed = 0; seed < 8; ++seed) {
+    cases.push_back({"random " + std::to_string(seed),
+                     [seed] { return std::make_unique<RandomFaults>(0.05, 11, seed); }});
   }
+  for (const Case& c : cases) {
+    int reverted_with = 0, reverted_without = 0;
+    const RunMetrics with = run_with(true, c.make(), reverted_with);
+    const RunMetrics without = run_with(false, c.make(), reverted_without);
+    ASSERT_TRUE(without.all_retired) << c.name;
+    EXPECT_EQ(substrate::compare_metrics(without, with), "") << c.name;
+    EXPECT_EQ(reverted_with, reverted_without) << c.name;
+    if (c.name == "majority") {
+      EXPECT_EQ(reverted_with, 5);
+    }
+  }
+}
+
+// Crashes nothing; collects, per round, the distinct S objects
+// (AgreeMsg::s_left) of the agreement broadcasts it inspects.  Holding them
+// keeps one object's address from being reused by another within the run.
+class ViewCensus final : public FaultInjector {
+ public:
+  explicit ViewCensus(std::map<Round, std::set<SharedBits>>& by_round) : by_round_(by_round) {}
+  std::optional<CrashPlan> inspect(int, const Round& round, const Action& action,
+                                   const SimSnapshot&) override {
+    for (const Outgoing& o : action.sends)
+      if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
+        by_round_[round].insert(m->s_left);
+    return std::nullopt;
+  }
+
+ private:
+  std::map<Round, std::set<SharedBits>>& by_round_;
+};
+
+// Views are shared, not copied: after one iteration every survivor holds
+// the fold's s_and, so every later broadcast of the phase carries that one
+// object.  Iteration 0 carries one object per process, the S it cloned to
+// drop its own slice.
+TEST(ProtocolD, AgreementBroadcastsShareOneViewAfterIterationZero) {
+  const DoAllConfig cfg{16 * 256, 256};
+  std::map<Round, std::set<SharedBits>> views;
+  RunResult r = run_do_all("D", cfg, std::make_unique<ViewCensus>(views));
+  ASSERT_TRUE(r.ok()) << r.violation;
+  // Failure-free: iteration 0, then everyone's done broadcast.
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_EQ(views.begin()->second.size(), 256u);
+  EXPECT_EQ(views.rbegin()->second.size(), 1u);
 }
 
 TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
@@ -348,8 +418,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolDRandom, ::testing::Range(0u, 25u));
 //
 // Twin D processes -- one reading a shared AgreeRoundFold, one built with a
 // null fold, which merges every round naively -- step through the same
-// ledgers in lockstep.  Each round's ledger is the naive twins' sends of the
-// previous round, edited by the scenario (cut, re-addressed, duplicated,
+// ledgers in lockstep.  Each round's ledger is the folded twins' sends of
+// the previous round (so a folded recipient's own record aliases its S, as
+// in a real run), edited by the scenario (cut, re-addressed, duplicated,
 // extra or lost records, crashes), and every step's action and observable
 // state must match between the twins.
 
@@ -368,7 +439,7 @@ std::string show(const Action& a) {
     os << "send " << to_string(o.kind) << " to";
     o.to.for_each_prefix(o.to.size(), [&](int id) { os << ' ' << id; });
     if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get())) {
-      os << " phase " << m->phase << " done " << m->done << " S " << bit_string(m->s_left)
+      os << " phase " << m->phase << " done " << m->done << " S " << bit_string(*m->s_left)
          << " T " << bit_string(m->t_alive);
     } else {
       const Payload& p = *o.payload;
@@ -394,7 +465,8 @@ DeliveryRecord agree_record(int from, std::initializer_list<int> to, int phase, 
   rec.kind = MsgKind::kAgreement;
   rec.to = make_recipient_bits(bits_of(width, to));
   rec.cut = rec.to.size();
-  rec.payload = std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);
+  rec.payload = std::make_shared<AgreeMsg>(phase, std::make_shared<const DynBitset>(std::move(s)),
+                                           std::move(t), done);
   return rec;
 }
 
@@ -405,8 +477,10 @@ class FoldTwins {
   using Edit = std::function<void(const Round& r, std::vector<DeliveryRecord>& ledger,
                                   std::vector<char>& crashed)>;
 
-  explicit FoldTwins(const DoAllConfig& cfg)
-      : cfg_(cfg), fold_(std::make_shared<AgreeRoundFold>(cfg)),
+  // With `envelope_inbox`, the folded twins read their mail as materialized
+  // envelopes (no ledger to fold) instead of a ledger view.
+  explicit FoldTwins(const DoAllConfig& cfg, bool envelope_inbox = false)
+      : cfg_(cfg), envelope_inbox_(envelope_inbox), fold_(std::make_shared<AgreeRoundFold>(cfg)),
         wake_(static_cast<std::size_t>(cfg.t), Round{0u}),
         crashed_(static_cast<std::size_t>(cfg.t), 0),
         retired_(static_cast<std::size_t>(cfg.t), 0) {
@@ -441,8 +515,14 @@ class FoldTwins {
         for (const DeliveryRecord& rec : ledger) mail |= rec.delivers_to(p);
         if (!mail && wake_[sp] > r) continue;
         const InboxView inbox(ledger, sent, p, mail);
+        std::vector<Envelope> envelopes;
+        if (envelope_inbox_)
+          for (const DeliveryRecord& rec : ledger)
+            if (rec.delivers_to(p))
+              envelopes.push_back(Envelope{rec.from, p, rec.kind, sent, rec.payload});
         const RoundContext ctx{r, p};
-        const Action fa = folded_[sp]->on_round(ctx, inbox);
+        const Action fa = envelope_inbox_ ? folded_[sp]->on_round(ctx, InboxView(envelopes))
+                                          : folded_[sp]->on_round(ctx, inbox);
         const Action na = naive_[sp]->on_round(ctx, inbox);
         const std::string where = "proc " + std::to_string(p) + " round " + r.to_string();
         EXPECT_EQ(show(fa), show(na)) << where;
@@ -451,7 +531,7 @@ class FoldTwins {
         EXPECT_EQ(folded_[sp]->reverted_to_a(), naive_[sp]->reverted_to_a()) << where;
         wake_[sp] = naive_[sp]->next_wake(r + Round{1u});
         EXPECT_EQ(folded_[sp]->next_wake(r + Round{1u}), wake_[sp]) << where;
-        for (const Outgoing& o : na.sends)
+        for (const Outgoing& o : fa.sends)
           next.push_back(DeliveryRecord{p, o.kind, o.to.size(), o.to, o.payload});
         if (na.terminate) retired_[sp] = 1;
       }
@@ -463,6 +543,7 @@ class FoldTwins {
 
  private:
   DoAllConfig cfg_;
+  bool envelope_inbox_;
   std::shared_ptr<AgreeRoundFold> fold_;
   std::vector<std::unique_ptr<ProtocolDProcess>> folded_, naive_;
   std::vector<Round> wake_;
@@ -618,6 +699,79 @@ TEST(ProtocolDFold, EmptyLedgerCountsEveryoneSilent) {
   });
   EXPECT_TRUE(probed);
   for (int p = 0; p < 6; ++p) EXPECT_TRUE(tw.naive(p).reverted_to_a() || tw.retired(p)) << p;
+}
+
+TEST(ProtocolDFold, RecordsAliasingOneViewHandItOut) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r == Round{1u}) crashed[5] = 1;
+    if (r != Round{4u}) return;
+    // Round 3 dropped silent 5, so 0-4 broadcast again, each aliasing the
+    // S it took from round 3's View: one object, handed out as is.
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 0, 1);
+    ASSERT_NE(v, nullptr);
+    for (int p = 0; p < 5; ++p)
+      EXPECT_EQ(v->by_sender[static_cast<std::size_t>(p)]->s_left, v->s_and) << p;
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+// A recipient the View covers ANDs s_and into its own S unless its own
+// record is in the View holding that very S; taking s_and whole would drop
+// what only it knows (its own slice).
+TEST(ProtocolDFold, InMaskRecipientWithoutItsOwnRecordAnds) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    // Process 4 sent no iteration-0 view (as when its audience is empty),
+    // yet hears everyone else's.
+    std::erase_if(ledger, [](const DeliveryRecord& rec) { return rec.from == 4; });
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 4, 1);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->by_sender[4], nullptr);
+    EXPECT_TRUE(v->s_and->test(8));  // 4's slice (units 9, 10) is outstanding in s_and
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+TEST(ProtocolDFold, InMaskRecipientWhoseOwnRecordIsAnotherObjectAnds) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    // Process 4's record reaches everyone it did, but carries a full S in
+    // place of the S process 4 holds.
+    for (DeliveryRecord& rec : ledger) {
+      if (rec.from != 4) continue;
+      const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
+      rec.payload = std::make_shared<AgreeMsg>(m->phase, std::make_shared<const DynBitset>(12, true),
+                                               m->t_alive, m->done);
+    }
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 4, 1);
+    ASSERT_NE(v, nullptr);
+    ASSERT_NE(v->by_sender[4], nullptr);
+    EXPECT_TRUE(v->s_and->test(8));
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+TEST(ProtocolDFold, EnvelopeInboxMergesNaively) {
+  // The folded twins read envelopes (no ledger), so every merge is naive;
+  // crashes and a cut broadcast make the views differ across recipients.
+  FoldTwins tw(kTwinCfg, /*envelope_inbox=*/true);
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>& crashed) {
+    if (r == Round{1u}) crashed[5] = 1;
+    if (r != Round{3u}) return;
+    for (DeliveryRecord& rec : ledger)
+      if (rec.from == 3) rec.cut = 1;
+    crashed[3] = 1;
+  });
+  for (int p : {0, 1, 2, 4}) EXPECT_TRUE(tw.retired(p)) << p;
 }
 
 // Shared fold vs null fold, metric for metric, on every executor that runs

@@ -98,7 +98,8 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
       {std::make_shared<OrdinaryC>(view), MsgKind::kOrdinary},
       {std::make_shared<PollC>(), MsgKind::kPoll},
       {std::make_shared<PollReplyC>(), MsgKind::kPollReply},
-      {std::make_shared<AgreeMsg>(3, s, alive, true), MsgKind::kAgreement},
+      {std::make_shared<AgreeMsg>(3, std::make_shared<const DynBitset>(s), alive, true),
+       MsgKind::kAgreement},
       {std::make_shared<BaselineCkpt>(77), MsgKind::kCheckpoint},
   };
   for (const Case& c : cases) {
@@ -136,19 +137,55 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   s.set(69);
   DynBitset alive(70);
   alive.set(7);
-  const auto agree = std::make_shared<AgreeMsg>(2, s, alive, false);
+  const auto agree =
+      std::make_shared<AgreeMsg>(2, std::make_shared<const DynBitset>(s), alive, false);
   auto [t2, b2] = read_one(encode_deliver(1, MsgKind::kAgreement, Round{4}, agree.get()), false);
   const Envelope e2 = decode_deliver(b2, 0);
   const auto* ga = e2.as<AgreeMsg>();
   ASSERT_NE(ga, nullptr);
   EXPECT_EQ(ga->phase, 2);
   EXPECT_EQ(ga->done, false);
-  ASSERT_EQ(ga->s_left.size(), 70u);
-  EXPECT_TRUE(ga->s_left.test(0));
-  EXPECT_TRUE(ga->s_left.test(63));
-  EXPECT_TRUE(ga->s_left.test(69));
-  EXPECT_FALSE(ga->s_left.test(1));
+  ASSERT_EQ(ga->s_left->size(), 70u);
+  EXPECT_TRUE(ga->s_left->test(0));
+  EXPECT_TRUE(ga->s_left->test(63));
+  EXPECT_TRUE(ga->s_left->test(69));
+  EXPECT_FALSE(ga->s_left->test(1));
   EXPECT_TRUE(ga->t_alive.test(7));
+}
+
+// Protocol D's views alias one shared S; the wire carries its bits, so two
+// messages sharing one view encode exactly as two holding private copies,
+// and each decodes to its own equal bitset.
+TEST(WireTest, SharedAgreeViewsEncodeAsUnsharedCopies) {
+  DynBitset bits(130);  // three words, ragged tail
+  for (std::size_t i : {0u, 64u, 65u, 129u}) bits.set(i);
+  DynBitset alive(9);
+  alive.set(2);
+  alive.set(8);
+  const auto shared = std::make_shared<const DynBitset>(bits);
+  const auto a = std::make_shared<AgreeMsg>(4, shared, alive, false);
+  const auto b = std::make_shared<AgreeMsg>(4, shared, alive, true);
+  const auto a_copy =
+      std::make_shared<AgreeMsg>(4, std::make_shared<const DynBitset>(bits), alive, false);
+  const auto b_copy =
+      std::make_shared<AgreeMsg>(4, std::make_shared<const DynBitset>(bits), alive, true);
+  ASSERT_EQ(a->s_left, b->s_left);
+  const std::string fa = encode_deliver(5, MsgKind::kAgreement, Round{7}, a.get());
+  const std::string fb = encode_deliver(6, MsgKind::kAgreement, Round{7}, b.get());
+  EXPECT_EQ(fa, encode_deliver(5, MsgKind::kAgreement, Round{7}, a_copy.get()));
+  EXPECT_EQ(fb, encode_deliver(6, MsgKind::kAgreement, Round{7}, b_copy.get()));
+
+  const Envelope ea = decode_deliver(read_one(fa, false).second, 0);
+  const Envelope eb = decode_deliver(read_one(fb, true).second, 1);
+  const auto* ga = ea.as<AgreeMsg>();
+  const auto* gb = eb.as<AgreeMsg>();
+  ASSERT_NE(ga, nullptr);
+  ASSERT_NE(gb, nullptr);
+  EXPECT_EQ(*ga->s_left, bits);
+  EXPECT_EQ(*gb->s_left, bits);
+  EXPECT_EQ(ga->t_alive, alive);
+  EXPECT_FALSE(ga->done);
+  EXPECT_TRUE(gb->done);
 }
 
 TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
@@ -174,7 +211,8 @@ TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
   b.sends.push_back(
       {RecipientSet{IdRange{4, 9}}, MsgKind::kCheckpoint, std::make_shared<CkptPartial>(2)});
   b.sends.push_back({RecipientSet{make_recipient_bits(everyone)}, MsgKind::kAgreement,
-                     std::make_shared<AgreeMsg>(1, everyone, everyone, false)});
+                     std::make_shared<AgreeMsg>(1, std::make_shared<const DynBitset>(everyone),
+                                                everyone, false)});
   auto [type1, body1] = read_one(encode_reply(b, Round{9}, 0), false);
   ReplyMsg m1 = decode_reply(body1);
   EXPECT_TRUE(m1.action.terminate);
