@@ -73,13 +73,14 @@ const std::vector<ProtocolInfo>& all_protocols() {
         .make_proc_param = {},
         // The run's t processes share one agreement round fold (a summary
         // of each round's broadcasts -- protocol_d.h documents why results
-        // are bit-identical with and without it).
+        // are bit-identical with and without it) and one initial S.
         .make_procs = [](const DoAllConfig& cfg) {
           auto fold = std::make_shared<AgreeRoundFold>(cfg);
+          const SharedBits s = all_outstanding(cfg);
           std::vector<std::unique_ptr<IProcess>> procs;
           procs.reserve(static_cast<std::size_t>(cfg.t));
           for (int i = 0; i < cfg.t; ++i)
-            procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold));
+            procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, fold, s));
           return procs;
         }});
     v.push_back(ProtocolInfo{

@@ -30,7 +30,8 @@ struct ProtocolInfo {
       make_proc_param;
   // Whole-run factory for protocols whose processes share run-scoped state
   // (Protocol D's agreement round fold -- a thread-safe summary shared by
-  // the t sibling processes of ONE run, never across runs).  When set,
+  // the t sibling processes of ONE run, never across runs -- and its
+  // immutable initial S).  When set,
   // make_processes uses this instead of t make_proc calls.
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
 };

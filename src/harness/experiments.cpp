@@ -916,7 +916,7 @@ const std::vector<ExperimentInfo>& all_experiments() {
        "sites; announced work is never lost, never-gossiped arrivals die with their site.",
        dynamic_scenarios},
       {"scale", "Scale sweep (Thms 2.3, 2.8, 4.1; Cor 3.9)",
-       "Asymptotics where the curves visibly diverge: t = 64..4096 at n = 16t under "
+       "Asymptotics where the curves visibly diverge: t = 64..16384 at n = 16t under "
        "worst-case cascades; A/B stay within 3n work + O(t^1.5) messages, D pays "
        "(4f+2)t^2 messages for optimal time, C_batch (capped at the 512-bit deadline "
        "budget) tracks its t log t message bound.",

@@ -58,13 +58,22 @@ AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
       v.by_sender[from] = m;
       v.senders.set(from);
       if (m->done) v.done.set(from);
-      if (!v.s_and) {
-        v.s_and = m->s_left;
-      } else if (m->s_left.get() != ph->last_s) {
-        if (!ph->s_copy) v.s_and = ph->s_copy = std::make_shared<DynBitset>(*v.s_and);
-        *ph->s_copy &= *m->s_left;
+      const SView& s = m->s_left;
+      if (!v.s_and.base) {
+        v.s_and = s;
+      } else if (s != *ph->last_s) {
+        if (!ph->s_copy) {
+          ph->s_copy = std::make_shared<DynBitset>(v.s_and.materialize());
+          ph->anded = v.s_and.base.get();
+          v.s_and = SView(ph->s_copy);
+        }
+        if (s.base.get() != ph->anded) {
+          *ph->s_copy &= *s.base;
+          ph->anded = s.base.get();
+        }
+        ph->s_copy->reset_range(s.lo, s.hi);
       }
-      ph->last_s = m->s_left.get();
+      ph->last_s = &s;
       v.t_or |= m->t_alive;
       reached.reset_all();
       rec.to.mark_prefix(reached, rec.cut);
@@ -75,6 +84,11 @@ AgreeRoundFold::Phase* AgreeRoundFold::phase_of(const Round& round,
   for (Phase& ph : phases_)
     if (ph.phase == phase) return &ph;
   return nullptr;
+}
+
+SharedBits all_outstanding(const DoAllConfig& cfg) {
+  cfg.validate();
+  return std::make_shared<const DynBitset>(static_cast<std::size_t>(cfg.n), true);
 }
 
 std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
@@ -101,8 +115,7 @@ std::int64_t work_slice(const DynBitset& s, const DynBitset& alive, int self,
   return w;
 }
 
-const AgreeMsg* merge_views(const SeenViews& seen, SharedBits& sn, DynBitset& tn,
-                            DynBitset& heard) {
+const AgreeMsg* merge_views(const SeenViews& seen, SView& sn, DynBitset& tn, DynBitset& heard) {
   const std::vector<const AgreeMsg*>& by_sender = seen.by_sender();
   for (const AgreeMsg* msg : by_sender) {
     if (msg && msg->done) {
@@ -117,13 +130,13 @@ const AgreeMsg* merge_views(const SeenViews& seen, SharedBits& sn, DynBitset& tn
     const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
     if (msg->s_left != sn) {
-      if (!merged) merged = std::make_shared<DynBitset>(*sn);
-      *merged &= *msg->s_left;
+      if (!merged) merged = std::make_shared<DynBitset>(sn.materialize());
+      msg->s_left.and_into(*merged);
     }
     tn |= msg->t_alive;
     heard.set(i);
   }
-  if (merged) sn = std::move(merged);
+  if (merged) sn = SView(std::move(merged));
   return nullptr;
 }
 
@@ -132,9 +145,10 @@ bool drop_silent(DynBitset& u, DynBitset& heard, int self) {
   return u.retain(heard);
 }
 
-DPhaseCore::DPhaseCore(const DoAllConfig& cfg, int self) : t_(cfg.t), self_(self) {
+DPhaseCore::DPhaseCore(const DoAllConfig& cfg, int self, SharedBits initial_s)
+    : t_(cfg.t), self_(self) {
   cfg.validate();
-  s_ = std::make_shared<const DynBitset>(static_cast<std::size_t>(cfg.n), true);
+  s_ = initial_s ? std::move(initial_s) : all_outstanding(cfg);
   t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
 }
 
@@ -142,14 +156,14 @@ bool DPhaseCore::work_round(const Round& now, Action& a) {
   if (!work_entered_) {
     work_entered_ = true;
     slice_pos_ = 0;
-    work_end_ = now + Round{static_cast<std::uint64_t>(work_slice(*s_, t_alive_, self_, my_slice_))};
+    work_end_ =
+        now + Round{static_cast<std::uint64_t>(work_slice(*s_.base, t_alive_, self_, my_slice_))};
     // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-    // S may be aliased by views, so the slice comes off a fresh copy.
-    if (!my_slice_.empty()) {
-      auto s = std::make_shared<DynBitset>(*s_);
-      for (std::int64_t u : my_slice_) s->reset(static_cast<std::size_t>(u - 1));
-      s_ = std::move(s);
-    }
+    // The slice is a run of consecutive outstanding units, so S \ S' is the
+    // shared base with the index range first..last cleared.
+    if (!my_slice_.empty())
+      s_ = SView(s_.base, static_cast<std::size_t>(my_slice_.front() - 1),
+                 static_cast<std::size_t>(my_slice_.back()));
   }
   if (!(now < work_end_)) return false;
   if (slice_pos_ < my_slice_.size()) a.work = my_slice_[slice_pos_++];
@@ -161,18 +175,19 @@ Round DPhaseCore::work_wake(const Round& now) const {
   return work_end_ > now ? work_end_ : now;
 }
 
-DPhaseCore::Outcome DPhaseCore::finish(SharedBits s, const DynBitset& t, const Round& now) {
+DPhaseCore::Outcome DPhaseCore::finish(SView s, const DynBitset& t, const Round& now) {
   const std::uint64_t old_alive = t_alive_.count();
-  s_ = std::move(s);
+  s_ = s.ranged() ? SView(std::make_shared<const DynBitset>(s.materialize())) : std::move(s);
   t_alive_ = t;
   const std::uint64_t new_alive = std::max<std::uint64_t>(1, t_alive_.count());
-  if (s_->none() || !t_alive_.test(static_cast<std::size_t>(self_))) return Outcome::kTerminate;
+  const DynBitset& left = *s_.base;
+  if (left.none() || !t_alive_.test(static_cast<std::size_t>(self_))) return Outcome::kTerminate;
   if (old_alive > 2 * new_alive) {
     // Figure 4 lines 11-13: more than half the processes died this phase;
     // hand the leftovers to Protocol A (work-optimal regardless of failure
     // pattern) rather than risking the adaptive-adversary lower bound.
     std::vector<std::int64_t> units;
-    for (std::size_t i = s_->find_next(0); i < s_->size(); i = s_->find_next(i + 1))
+    for (std::size_t i = left.find_next(0); i < left.size(); i = left.find_next(i + 1))
       units.push_back(static_cast<std::int64_t>(i) + 1);
     // Renumber the agreed survivors 0..|T|-1 so Protocol A's deadlines scale
     // with the survivor count (Theorem 4.1 case 2 applies Theorem 2.3 with
@@ -212,8 +227,12 @@ Action DPhaseCore::revert_round(const RoundContext& ctx, const InboxView& inbox)
 }
 
 ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
-                                   std::shared_ptr<AgreeRoundFold> fold)
-    : t_(cfg.t), self_(self), core_(cfg, self), seen_(cfg.t), fold_(std::move(fold)) {
+                                   std::shared_ptr<AgreeRoundFold> fold, SharedBits initial_s)
+    : t_(cfg.t),
+      self_(self),
+      core_(cfg, self, std::move(initial_s)),
+      seen_(cfg.t),
+      fold_(std::move(fold)) {
   heard_ = DynBitset(static_cast<std::size_t>(t_));
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
@@ -311,9 +330,9 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
       if (own != nullptr && own->s_left == sn_) {
         sn_ = view->s_and;
       } else if (view->s_and != sn_) {
-        auto merged = std::make_shared<DynBitset>(*sn_);
-        *merged &= *view->s_and;
-        sn_ = std::move(merged);
+        auto merged = std::make_shared<DynBitset>(sn_.materialize());
+        view->s_and.and_into(*merged);
+        sn_ = SView(std::move(merged));
       }
       tn_ |= view->t_or;
       heard_ = view->senders;

@@ -45,13 +45,54 @@
 
 namespace dowork {
 
-// An outstanding-unit set S as an immutable object shared by reference.
-// After one agreement iteration every survivor holds the same S, so the
-// processes, their broadcasts and the round fold alias one n-bit object
-// instead of each holding a copy; a holder that needs a different set
-// builds a new object and repoints (see DPhaseCore::work_round and
-// merge_views).
+// An n-bit set as an immutable object shared by reference.
 using SharedBits = std::shared_ptr<const DynBitset>;
+
+// An outstanding-unit set S (unit u -> bit u-1) as a shared immutable base
+// with the index range [lo, hi) cleared.  After one agreement iteration
+// every survivor holds the same S, so the processes, their broadcasts and
+// the round fold alias one n-bit object instead of each holding a copy.
+// Within a phase's work a process's S differs from the agreed S only by its
+// slice, a run of consecutive outstanding units, so it keeps the agreed S
+// as its base and records the slice as the range: every process of a run
+// starts from one all-ones base, and iteration 0 of each agreement carries
+// t ranges over one base.  A holder that needs any other set builds a new
+// base and repoints (the round fold, merge_views, DPhaseCore::finish).
+struct SView {
+  SView() = default;
+  SView(SharedBits b) : base(std::move(b)) {}  // NOLINT: implicit by design
+  SView(SharedBits b, std::size_t l, std::size_t h)
+      : base(std::move(b)), lo(l < h ? l : 0), hi(l < h ? h : 0) {}
+
+  bool ranged() const { return lo < hi; }
+  std::size_t size() const { return base->size(); }
+  // Word i of the set: the base's word with the range cleared.
+  std::uint64_t word(std::size_t i) const {
+    return base->word(i) & ~DynBitset::range_mask(i, lo, hi);
+  }
+  // The set as a bitset of its own.
+  DynBitset materialize() const {
+    DynBitset b = *base;
+    b.reset_range(lo, hi);
+    return b;
+  }
+  // dst &= the set (equal sizes): AND the base, then clear the range.
+  void and_into(DynBitset& dst) const {
+    dst &= *base;
+    dst.reset_range(lo, hi);
+  }
+
+  // Identity, not contents: the same base object and the same range.  Two
+  // views on one base with different ranges are different sets.
+  friend bool operator==(const SView&, const SView&) = default;
+
+  SharedBits base;  // never null once set
+  std::size_t lo = 0, hi = 0;  // the cleared range; [0, 0) when none
+};
+
+// The all-outstanding S of a run (cfg.n bits, all set): the initial S the
+// run's processes share.
+SharedBits all_outstanding(const DoAllConfig& cfg);
 
 // Views are word-packed (util/bitset.h): an agreement iteration merges up
 // to t of these (once per round through a shared fold, per recipient
@@ -59,10 +100,10 @@ using SharedBits = std::shared_ptr<const DynBitset>;
 // aliases the sender's current S; t_alive (t bits) is a copy.
 struct AgreeMsg final : Payload {
   int phase;          // work/agreement phase number, 1-based
-  SharedBits s_left;  // outstanding units, indexed unit-1; never null
+  SView s_left;       // outstanding units, indexed unit-1; base never null
   DynBitset t_alive;  // processes believed correct
   bool done;
-  AgreeMsg(int ph, SharedBits s, DynBitset t, bool d)
+  AgreeMsg(int ph, SView s, DynBitset t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
@@ -100,10 +141,10 @@ class SeenViews {
 // The naive merge of one agreement iteration, for inboxes without an
 // AgreeRoundFold View.  If a sender's view is done, adopts the lowest-id
 // one into `sn`/`tn` and returns it.  Otherwise ANDs every s_left into `sn`
-// (into a fresh object, made only if some s_left is not `sn` itself), ORs
-// every t_alive into `tn`, sets `heard` to the senders and returns null.
-const AgreeMsg* merge_views(const SeenViews& seen, SharedBits& sn, DynBitset& tn,
-                            DynBitset& heard);
+// (into a fresh base, made only if some s_left is not the view `sn` --
+// same base and same range), ORs every t_alive into `tn`, sets `heard` to
+// the senders and returns null.
+const AgreeMsg* merge_views(const SeenViews& seen, SView& sn, DynBitset& tn, DynBitset& heard);
 
 // After the grace iterations: adds `self` to `heard` and drops from `u`
 // every process outside it (silent => crashed); whether any was dropped.
@@ -115,27 +156,38 @@ class DPhaseCore {
  public:
   enum class Outcome { kContinue, kRevert, kTerminate };
 
-  DPhaseCore(const DoAllConfig& cfg, int self);
+  // `initial_s` is the all-outstanding S the run's processes share; null
+  // allocates a private one.
+  DPhaseCore(const DoAllConfig& cfg, int self, SharedBits initial_s);
 
   int phase() const { return phase_; }
-  // Outstanding units (unit u -> s()[u-1]), shared with views that alias it.
-  const SharedBits& s() const { return s_; }
+  // Outstanding units (unit u -> bit u-1), shared with views that alias
+  // it.
+  const SView& s() const { return s_; }
+  // |S|.  While S carries this process's slice as its range, every unit
+  // of the range that the base holds is a slice unit, so the range costs no
+  // word scan.
+  std::uint64_t left() const {
+    return s_.base->count() - (s_.ranged() ? my_slice_.size() : 0);
+  }
   const DynBitset& t_alive() const { return t_alive_; }
 
   // A work-phase round at `now`; the phase's first round takes the slice
   // (lines 5-8).  Everyone spends exactly the slice width in rounds in the
   // phase (line 7) so the agreement phases stay aligned: while they last,
   // returns true with the next slice unit, if any, in `a`; then false.
-  // Dropping the slice from S clones S: the one private copy a process
-  // makes per phase.
+  // Dropping the slice from S records it as S's cleared range: the base
+  // stays the phase's agreed S, shared by every process.
   bool work_round(const Round& now, Action& a);
   Round work_wake(const Round& now) const;
 
   // Lines 9-13 on the agreed view (S, T) at round `now`: kTerminate when no
   // work is left or this process is not in T; kRevert when more than half
   // the phase's processes were lost (Protocol A takes the leftovers from
-  // round now+1); otherwise kContinue into the next phase's work.
-  Outcome finish(SharedBits s, const DynBitset& t, const Round& now);
+  // round now+1); otherwise kContinue into the next phase's work.  A view
+  // that still carries a range (no merge replaced this process's own S)
+  // becomes a base of its own here, so every slice is taken from a base.
+  Outcome finish(SView s, const DynBitset& t, const Round& now);
 
   // A round after kRevert: the embedded Protocol A, run on rank-in-T ids.
   Action revert_round(const RoundContext& ctx, const InboxView& inbox);
@@ -145,7 +197,7 @@ class DPhaseCore {
   int t_;
   int self_;
   int phase_ = 1;
-  SharedBits s_;
+  SView s_;  // unranged except between a work phase's start and finish
   DynBitset t_alive_;
 
   std::vector<std::int64_t> my_slice_;
@@ -177,19 +229,24 @@ class DPhaseCore {
 // broadcast ends the phase, so the own record is never done either), so
 // when the own record's s_left is the recipient's sn_ object, s_and is a
 // subset of sn_ and the recipient takes s_and by pointer; OR is idempotent,
-// so the own t_alive changes no bit of tn.  A recipient whose own record is
-// missing (its audience was empty, so it sent none) or holds another object
-// ANDs s_and into a copy of its sn_ instead.  A phase where some sender
+// so the own t_alive changes no bit of tn.  "Is" means the same view: the
+// same base object and the same range -- iteration 0's records share one
+// base, and only the range tells them apart.  A recipient whose own record
+// is missing (its audience was empty, so it sent none) or holds another
+// view ANDs s_and into a copy of its sn_ instead.  A phase where some sender
 // broadcast twice has no View.  Without a View the process merges naively,
 // as it does with early arrivals retained, after reverting to A, and on
 // envelope-mode or network-path inboxes.
 //
-// Sharing: s_and starts as the phase's first s_left object and becomes a
-// private copy only when a record brings a different one; a record whose
-// s_left is the previous record's object is skipped.  So once every sender
-// aliases one S -- every iteration after the first of an agreement phase
-// -- the senders, the View and every in-mask recipient hold that one
-// object, and a round allocates no n-bit set.
+// Sharing: s_and starts as the phase's first s_left view and becomes a
+// private base only when a record brings a different view; a record whose
+// s_left is the previous record's view is skipped.  The private base ANDs
+// in each record's base when it differs from the last one ANDed and clears
+// each record's range, so iteration 0 -- t ranges over one base -- costs
+// one n-bit copy plus the ranges' words.  Once every sender aliases one S
+// -- every iteration after the first of an agreement phase -- the senders,
+// the View and every in-mask recipient hold that one view, and a round
+// allocates no n-bit set.
 //
 // Threading: requests are mutex-guarded and order-independent, so one fold
 // serves the serial simulator, RoundPool shards and live worker threads.  A
@@ -205,7 +262,7 @@ class AgreeRoundFold {
     std::vector<const AgreeMsg*> by_sender;  // null = no broadcast
     DynBitset senders;  // t bits: the entries present
     DynBitset done;     // t bits: those whose broadcast had done set
-    SharedBits s_and;   // n bits: AND of their s_left
+    SView s_and;        // n bits: AND of their s_left
     DynBitset t_or;     // t bits: OR of their t_alive
   };
 
@@ -225,8 +282,9 @@ class AgreeRoundFold {
     bool duplicate = false;
     DynBitset reached_by_all;  // recipients that hear every other record
     View view;
-    std::shared_ptr<DynBitset> s_copy;  // view.s_and once it is private
-    const DynBitset* last_s = nullptr;  // the previous record's s_left
+    std::shared_ptr<DynBitset> s_copy;  // view.s_and's base once it is private
+    const DynBitset* anded = nullptr;   // the base last ANDed into s_copy
+    const SView* last_s = nullptr;      // the previous record's s_left
   };
 
   // The entry of `phase` in `round`'s summary (null if the round has no
@@ -244,8 +302,10 @@ class AgreeRoundFold {
 
 class ProtocolDProcess final : public IProcess {
  public:
+  // `initial_s`: the run's shared all-outstanding S, as for DPhaseCore.
   ProtocolDProcess(const DoAllConfig& cfg, int self,
-                   std::shared_ptr<AgreeRoundFold> fold = nullptr);
+                   std::shared_ptr<AgreeRoundFold> fold = nullptr,
+                   SharedBits initial_s = nullptr);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
@@ -260,7 +320,7 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(core_.s()->size() - core_.s()->count());
+    return static_cast<std::int64_t>(core_.s().size() - core_.left());
   }
 
  private:
@@ -280,9 +340,9 @@ class ProtocolDProcess final : public IProcess {
   DynBitset u_;   // not yet known faulty this phase
   DynBitset tn_;  // T being accumulated
   // S being intersected, aliased from where it was built: this phase's
-  // S (DPhaseCore::s()), then the fold's s_and, an adopted view or a
-  // merge's result.
-  SharedBits sn_;
+  // S (DPhaseCore::s(), the agreed base minus this process's slice), then
+  // the fold's s_and, an adopted view or a merge's result.
+  SView sn_;
   // The broadcast audience (u_ minus self) as the shared immutable set the
   // ledger records alias (sim/message.h).  Rebuilt lazily whenever u_
   // changes; between changes -- every iteration of a stable agreement --

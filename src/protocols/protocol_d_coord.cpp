@@ -11,7 +11,7 @@ constexpr std::uint64_t kResumeAt = 8;    // next work phase at R + 8
 }  // namespace
 
 ProtocolDCoordProcess::ProtocolDCoordProcess(const DoAllConfig& cfg, int self)
-    : t_(cfg.t), self_(self), core_(cfg, self), seen_(cfg.t) {
+    : t_(cfg.t), self_(self), core_(cfg, self, nullptr), seen_(cfg.t) {
   heard_ = DynBitset(static_cast<std::size_t>(t_));
 }
 

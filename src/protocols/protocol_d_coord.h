@@ -62,7 +62,7 @@ class ProtocolDCoordProcess final : public IProcess {
 
   // Agreement state.
   DynBitset u_, tn_;
-  SharedBits sn_;
+  SView sn_;
   DynBitset heard_;  // reused buffer: the fallback's senders this iteration
   // This phase's messages for the naive merge, as in protocol_d.h.  They
   // are read rounds after they arrive (the coordinator collects over a

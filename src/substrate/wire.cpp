@@ -57,6 +57,13 @@ class Writer {
     for (std::size_t i = 0; i < b.word_count(); ++i) u64(b.word(i));
   }
 
+  // A shared view's bits, its range cleared: encoded exactly as its
+  // materialized copy, so sharing never shows on the wire.
+  void view(const SView& s) {
+    u64(s.size());
+    for (std::size_t i = 0; i < s.base->word_count(); ++i) u64(s.word(i));
+  }
+
   void recipients(const RecipientSet& to) {
     if (const auto& bits = to.shared_bits()) {
       u8(1);
@@ -110,7 +117,7 @@ void Writer::payload(const Payload* p) {
   } else if (const auto* m = detail::payload_as<AgreeMsg>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kAgree));
     i32(m->phase);
-    bitset(*m->s_left);  // the shared view's bits: aliasing never shows on the wire
+    view(m->s_left);
     bitset(m->t_alive);
     u8(m->done ? 1 : 0);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {

@@ -68,6 +68,29 @@ class DynBitset {
     return c;
   }
 
+  // Clears every bit at positions in [lo, hi) (hi <= size()).  Protocol D
+  // drops a work slice -- a run of consecutive outstanding units -- this
+  // way, in O(range words).
+  void reset_range(std::size_t lo, std::size_t hi) {
+    if (lo >= hi) return;
+    const std::size_t wl = lo / 64, wh = (hi - 1) / 64;
+    w_[wl] &= ~range_mask(wl, lo, hi);
+    if (wh == wl) return;
+    std::fill(w_.begin() + static_cast<std::ptrdiff_t>(wl + 1),
+              w_.begin() + static_cast<std::ptrdiff_t>(wh), 0);
+    w_[wh] &= ~range_mask(wh, lo, hi);
+  }
+
+  // The bits of word i that lie in [lo, hi).
+  static std::uint64_t range_mask(std::size_t i, std::size_t lo, std::size_t hi) {
+    const std::size_t b = i * 64;
+    if (hi <= b || lo >= b + 64) return 0;
+    const std::size_t from = lo > b ? lo - b : 0;
+    const std::size_t to = hi < b + 64 ? hi - b : 64;
+    const std::uint64_t upto = to == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << to) - 1;
+    return upto & (~std::uint64_t{0} << from);
+  }
+
   bool none() const {
     for (std::uint64_t w : w_)
       if (w) return false;

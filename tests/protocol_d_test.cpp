@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <typeinfo>
 
 #include "core/registry.h"
@@ -373,37 +374,51 @@ TEST(ProtocolD, RoundFoldIsObservablyInvisible) {
   }
 }
 
-// Crashes nothing; collects, per round, the distinct S objects
-// (AgreeMsg::s_left) of the agreement broadcasts it inspects.  Holding them
-// keeps one object's address from being reused by another within the run.
+// Crashes nothing; collects, per round, the distinct views (AgreeMsg::s_left)
+// of the agreement broadcasts it inspects, as (base object, range).  Holding
+// the bases keeps one object's address from being reused by another within
+// the run.
+using ViewSet = std::set<std::tuple<SharedBits, std::size_t, std::size_t>>;
+
 class ViewCensus final : public FaultInjector {
  public:
-  explicit ViewCensus(std::map<Round, std::set<SharedBits>>& by_round) : by_round_(by_round) {}
+  explicit ViewCensus(std::map<Round, ViewSet>& by_round) : by_round_(by_round) {}
   std::optional<CrashPlan> inspect(int, const Round& round, const Action& action,
                                    const SimSnapshot&) override {
     for (const Outgoing& o : action.sends)
       if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
-        by_round_[round].insert(m->s_left);
+        by_round_[round].insert({m->s_left.base, m->s_left.lo, m->s_left.hi});
     return std::nullopt;
   }
 
  private:
-  std::map<Round, std::set<SharedBits>>& by_round_;
+  std::map<Round, ViewSet>& by_round_;
 };
 
-// Views are shared, not copied: after one iteration every survivor holds
-// the fold's s_and, so every later broadcast of the phase carries that one
-// object.  Iteration 0 carries one object per process, the S it cloned to
-// drop its own slice.
-TEST(ProtocolD, AgreementBroadcastsShareOneViewAfterIterationZero) {
+// Views are shared, not copied: every process starts from the run's one
+// initial S and drops its slice as a range, so iteration 0 carries one base
+// with one range per process; after one iteration every survivor holds the
+// fold's s_and, so every later broadcast of the phase carries that one view.
+TEST(ProtocolD, AgreementBroadcastsShareOneBaseFromIterationZero) {
   const DoAllConfig cfg{16 * 256, 256};
-  std::map<Round, std::set<SharedBits>> views;
+  std::map<Round, ViewSet> views;
   RunResult r = run_do_all("D", cfg, std::make_unique<ViewCensus>(views));
   ASSERT_TRUE(r.ok()) << r.violation;
   // Failure-free: iteration 0, then everyone's done broadcast.
   ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views.begin()->second.size(), 256u);
-  EXPECT_EQ(views.rbegin()->second.size(), 1u);
+  std::set<SharedBits> bases;
+  std::set<std::pair<std::size_t, std::size_t>> ranges;
+  for (const auto& [base, lo, hi] : views.begin()->second) {
+    bases.insert(base);
+    ranges.insert({lo, hi});
+  }
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_EQ(ranges.size(), 256u);
+  EXPECT_FALSE(ranges.contains({0, 0}));  // every process had a 16-unit slice
+  ASSERT_EQ(views.rbegin()->second.size(), 1u);
+  const auto& [done_base, done_lo, done_hi] = *views.rbegin()->second.begin();
+  EXPECT_EQ(done_lo, done_hi);  // the fold's s_and: a base of its own
+  EXPECT_FALSE(bases.contains(done_base));
 }
 
 TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
@@ -439,8 +454,8 @@ std::string show(const Action& a) {
     os << "send " << to_string(o.kind) << " to";
     o.to.for_each_prefix(o.to.size(), [&](int id) { os << ' ' << id; });
     if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get())) {
-      os << " phase " << m->phase << " done " << m->done << " S " << bit_string(*m->s_left)
-         << " T " << bit_string(m->t_alive);
+      os << " phase " << m->phase << " done " << m->done << " S "
+         << bit_string(m->s_left.materialize()) << " T " << bit_string(m->t_alive);
     } else {
       const Payload& p = *o.payload;
       os << ' ' << typeid(p).name();
@@ -732,7 +747,7 @@ TEST(ProtocolDFold, InMaskRecipientWithoutItsOwnRecordAnds) {
     const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 4, 1);
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->by_sender[4], nullptr);
-    EXPECT_TRUE(v->s_and->test(8));  // 4's slice (units 9, 10) is outstanding in s_and
+    EXPECT_TRUE(v->s_and.materialize().test(8));  // 4's slice (units 9, 10) is outstanding in s_and
     probed = true;
   });
   EXPECT_TRUE(probed);
@@ -754,10 +769,151 @@ TEST(ProtocolDFold, InMaskRecipientWhoseOwnRecordIsAnotherObjectAnds) {
     const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 4, 1);
     ASSERT_NE(v, nullptr);
     ASSERT_NE(v->by_sender[4], nullptr);
-    EXPECT_TRUE(v->s_and->test(8));
+    EXPECT_TRUE(v->s_and.materialize().test(8));
     probed = true;
   });
   EXPECT_TRUE(probed);
+}
+
+// Same base, different range is a different view: process 4's record keeps
+// its base but drops its range, so it no longer is the view 4 holds, and 4
+// must AND s_and (which counts 4's slice outstanding) into its own S rather
+// than take it by pointer.
+TEST(ProtocolDFold, OwnRecordOnTheSameBaseWithAnotherRangeAnds) {
+  FoldTwins tw(kTwinCfg);
+  bool probed = false;
+  tw.run([&](const Round& r, std::vector<DeliveryRecord>& ledger, std::vector<char>&) {
+    if (r != Round{3u}) return;
+    for (DeliveryRecord& rec : ledger) {
+      if (rec.from != 4) continue;
+      const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
+      ASSERT_TRUE(m->s_left.ranged());
+      rec.payload = std::make_shared<AgreeMsg>(m->phase, SView(m->s_left.base), m->t_alive,
+                                               m->done);
+    }
+    const AgreeRoundFold::View* v = tw.fold().view(r, ledger, 4, 1);
+    ASSERT_NE(v, nullptr);
+    ASSERT_NE(v->by_sender[4], nullptr);
+    EXPECT_TRUE(v->s_and.materialize().test(8));
+    probed = true;
+  });
+  EXPECT_TRUE(probed);
+}
+
+// Slices that are empty (fewer units than processes), cross a word
+// boundary or end in the ragged tail word, folded and merged naively
+// through whole runs, with and without a crash.
+TEST(ProtocolDFold, EmptyAndWordStraddlingSlicesMatchNaive) {
+  for (const DoAllConfig cfg : {DoAllConfig{4, 6}, DoAllConfig{130, 2}, DoAllConfig{200, 3}}) {
+    for (bool crash : {false, true}) {
+      FoldTwins tw(cfg);
+      tw.run([&](const Round& r, std::vector<DeliveryRecord>&, std::vector<char>& crashed) {
+        if (crash && r == Round{1u}) crashed[0] = 1;
+      });
+      for (int p = crash ? 1 : 0; p < cfg.t; ++p)
+        EXPECT_TRUE(tw.retired(p)) << cfg.to_string() << " crash " << crash << " proc " << p;
+    }
+  }
+}
+
+// --- AgreeRoundFold on hand-built views: base + range ---------------------
+
+constexpr std::size_t kViewBits = 200;  // four words, the last ragged
+
+// A pattern with both set and clear bits in every word.
+SharedBits patterned_base(unsigned seed) {
+  std::mt19937 rng(seed);
+  DynBitset b(kViewBits);
+  for (std::size_t i = 0; i < kViewBits; ++i)
+    if (rng() % 4 != 0) b.set(i);
+  return std::make_shared<const DynBitset>(std::move(b));
+}
+
+DeliveryRecord view_record(int from, int t, SView s) {
+  DeliveryRecord rec;
+  rec.from = from;
+  rec.kind = MsgKind::kAgreement;
+  rec.to = make_recipient_bits(DynBitset(static_cast<std::size_t>(t), true));
+  rec.cut = rec.to.size();
+  rec.payload = std::make_shared<AgreeMsg>(1, std::move(s), DynBitset(static_cast<std::size_t>(t)),
+                                           false);
+  return rec;
+}
+
+// The naive AND of the records' materialized views.
+DynBitset naive_and(const std::vector<DeliveryRecord>& ledger) {
+  DynBitset out(kViewBits, true);
+  for (const DeliveryRecord& rec : ledger)
+    out &= detail::payload_as<AgreeMsg>(rec.payload.get())->s_left.materialize();
+  return out;
+}
+
+TEST(ProtocolDFold, SharedBaseRangesFoldToTheNaiveAnd) {
+  const SharedBits base = patterned_base(1);
+  const SharedBits other = patterned_base(2);
+  // Empty, inside one word, across a word boundary, across several words,
+  // into the ragged tail, and the whole set; another base in the middle.
+  const std::vector<SView> views = {
+      SView(base, 3, 3),     SView(base, 5, 9),     SView(base, 60, 70), SView(other, 10, 20),
+      SView(base, 70, 140),  SView(base, 190, 200), SView(base, 0, 200), SView(base),
+  };
+  for (std::size_t k = 1; k <= views.size(); ++k) {
+    std::vector<DeliveryRecord> ledger;
+    for (std::size_t i = 0; i < k; ++i)
+      ledger.push_back(view_record(static_cast<int>(i), static_cast<int>(views.size()), views[i]));
+    AgreeRoundFold fold(DoAllConfig{static_cast<std::int64_t>(kViewBits),
+                                    static_cast<int>(views.size())});
+    const AgreeRoundFold::View* v = fold.view(Round{1u}, ledger, 0, 1);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(v->s_and.materialize(), naive_and(ledger)) << k;
+    if (k == 1) {
+      EXPECT_EQ(v->s_and, views[0]);  // one record: its view, shared
+    }
+  }
+}
+
+// Consecutive records on one base with different ranges are different
+// views: each range comes off s_and.  Skipping a record whose base alone
+// matches the previous record's would keep the later slices outstanding.
+TEST(ProtocolDFold, ConsecutiveRecordsOnOneBaseApplyEveryRange) {
+  const SharedBits base = patterned_base(3);
+  const int t = 4;
+  std::vector<DeliveryRecord> ledger;
+  ledger.push_back(view_record(0, t, SView(base, 0, 50)));
+  ledger.push_back(view_record(1, t, SView(base, 50, 100)));
+  ledger.push_back(view_record(2, t, SView(base, 100, 150)));
+  ledger.push_back(view_record(3, t, SView(base, 100, 150)));  // the previous view again
+  AgreeRoundFold fold(DoAllConfig{static_cast<std::int64_t>(kViewBits), t});
+  const AgreeRoundFold::View* v = fold.view(Round{1u}, ledger, 0, 1);
+  ASSERT_NE(v, nullptr);
+  const DynBitset got = v->s_and.materialize();
+  EXPECT_EQ(got, naive_and(ledger));
+  for (std::size_t i = 0; i < kViewBits; ++i)
+    EXPECT_EQ(got.test(i), i >= 150 && base->test(i)) << i;
+}
+
+// SView's accessors agree with its materialized bits for ranges
+// at every offset around word boundaries and the ragged tail.
+TEST(ProtocolDFold, RangedViewAccessorsMatchTheMaterializedSet) {
+  const SharedBits base = patterned_base(4);
+  const std::vector<std::size_t> edges = {0, 1, 62, 63, 64, 65, 127, 128, 129, 191, 192, 199, 200};
+  for (std::size_t lo : edges) {
+    for (std::size_t hi : edges) {
+      const SView v(base, lo, hi);
+      const DynBitset m = v.materialize();
+      const std::string where = std::to_string(lo) + ".." + std::to_string(hi);
+      EXPECT_EQ(v.ranged(), lo < hi) << where;
+      for (std::size_t i = 0; i < m.word_count(); ++i) EXPECT_EQ(v.word(i), m.word(i)) << where;
+      for (std::size_t i = 0; i < kViewBits; ++i) {
+        ASSERT_EQ(m.test(i), !(lo <= i && i < hi) && base->test(i)) << where << " bit " << i;
+      }
+      DynBitset anded = *patterned_base(5);
+      v.and_into(anded);
+      DynBitset want = *patterned_base(5);
+      want &= m;
+      EXPECT_EQ(anded, want) << where;
+    }
+  }
 }
 
 TEST(ProtocolDFold, EnvelopeInboxMergesNaively) {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "protocols/baseline_checkpoint.h"
@@ -145,17 +146,17 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   ASSERT_NE(ga, nullptr);
   EXPECT_EQ(ga->phase, 2);
   EXPECT_EQ(ga->done, false);
-  ASSERT_EQ(ga->s_left->size(), 70u);
-  EXPECT_TRUE(ga->s_left->test(0));
-  EXPECT_TRUE(ga->s_left->test(63));
-  EXPECT_TRUE(ga->s_left->test(69));
-  EXPECT_FALSE(ga->s_left->test(1));
+  ASSERT_EQ(ga->s_left.base->size(), 70u);
+  EXPECT_TRUE(ga->s_left.base->test(0));
+  EXPECT_TRUE(ga->s_left.base->test(63));
+  EXPECT_TRUE(ga->s_left.base->test(69));
+  EXPECT_FALSE(ga->s_left.base->test(1));
   EXPECT_TRUE(ga->t_alive.test(7));
 }
 
-// Protocol D's views alias one shared S; the wire carries its bits, so two
-// messages sharing one view encode exactly as two holding private copies,
-// and each decodes to its own equal bitset.
+// Protocol D's views alias one shared S, minus a range; the wire carries
+// their bits, so two messages sharing one view encode exactly as two
+// holding private copies, and each decodes to its own equal bitset.
 TEST(WireTest, SharedAgreeViewsEncodeAsUnsharedCopies) {
   DynBitset bits(130);  // three words, ragged tail
   for (std::size_t i : {0u, 64u, 65u, 129u}) bits.set(i);
@@ -181,11 +182,31 @@ TEST(WireTest, SharedAgreeViewsEncodeAsUnsharedCopies) {
   const auto* gb = eb.as<AgreeMsg>();
   ASSERT_NE(ga, nullptr);
   ASSERT_NE(gb, nullptr);
-  EXPECT_EQ(*ga->s_left, bits);
-  EXPECT_EQ(*gb->s_left, bits);
+  EXPECT_EQ(*ga->s_left.base, bits);
+  EXPECT_EQ(*gb->s_left.base, bits);
   EXPECT_EQ(ga->t_alive, alive);
   EXPECT_FALSE(ga->done);
   EXPECT_TRUE(gb->done);
+
+  // A view as the shared base minus a range -- inside one word, across a
+  // word boundary, into the ragged tail -- encodes as its materialized copy
+  // and decodes to a plain view of those bits.
+  for (const auto& [lo, hi] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 5}, {60, 70}, {63, 129}, {100, 130}, {0, 130}}) {
+    const SView ranged(shared, lo, hi);
+    const DynBitset bits_left = ranged.materialize();
+    const auto r = std::make_shared<AgreeMsg>(4, ranged, alive, false);
+    const auto r_copy = std::make_shared<AgreeMsg>(
+        4, std::make_shared<const DynBitset>(bits_left), alive, false);
+    const std::string fr = encode_deliver(5, MsgKind::kAgreement, Round{7}, r.get());
+    EXPECT_EQ(fr, encode_deliver(5, MsgKind::kAgreement, Round{7}, r_copy.get()))
+        << lo << ".." << hi;
+    const Envelope er = decode_deliver(read_one(fr, false).second, 0);
+    const auto* gr = er.as<AgreeMsg>();
+    ASSERT_NE(gr, nullptr);
+    EXPECT_FALSE(gr->s_left.ranged());
+    EXPECT_EQ(*gr->s_left.base, bits_left) << lo << ".." << hi;
+  }
 }
 
 TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
