@@ -8,10 +8,14 @@
 // The campaign exits 0 iff no case violated a bound or an invariant; the
 // JSON report (--json) is byte-identical at any --jobs value.  See
 // docs/FUZZING.md for the trace format and the replay workflow.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -114,14 +118,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags take a plain non-negative integer no larger than `max`;
+    // anything else is a usage error, like a missing value.
+    auto number = [&](unsigned long long max) -> unsigned long long {
+      const std::string v = value();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+      if (v[0] < '0' || v[0] > '9' || *end != '\0' || errno == ERANGE || x > max) {
+        std::fprintf(stderr, "dowork_fuzz: %s wants an integer in [0, %llu], got '%s'\n",
+                     arg.c_str(), max, v.c_str());
+        std::exit(2);
+      }
+      return x;
+    };
+    constexpr unsigned long long kIntMax = std::numeric_limits<int>::max();
     if (arg == "--cases") {
-      opts.cases = std::stoi(value());
+      opts.cases = static_cast<int>(number(kIntMax));
     } else if (arg == "--seed") {
-      opts.seed = std::stoull(value());
+      opts.seed = number(std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--jobs") {
-      opts.jobs = std::stoi(value());
+      opts.jobs = static_cast<int>(number(kIntMax));
     } else if (arg == "--tighten") {
-      opts.tighten_pct = std::stoi(value());
+      opts.tighten_pct = static_cast<int>(number(kIntMax));
     } else if (arg == "--json") {
       json_file = value();
     } else if (arg == "--trace-dir") {
@@ -130,21 +149,14 @@ int main(int argc, char** argv) {
       opts.differential = true;
       // Optional backend name: consume the next token only when it names a
       // backend (so `--differential --json f` still works).
-      if (i + 1 < argc && std::strcmp(argv[i + 1], "socket") == 0) {
-        ++i;
-      } else if (i + 1 < argc && std::strcmp(argv[i + 1], "thread") == 0) {
-        std::fprintf(stderr,
-                     "dowork_fuzz: --differential thread is gone: the in-process threaded "
-                     "executor is cross-checked by --parallel-diff\n");
-        return 2;
-      }
+      if (i + 1 < argc && std::strcmp(argv[i + 1], "socket") == 0) ++i;
     } else if (arg == "--parallel-diff") {
       // Optional thread count: consume the next token only when it is a
       // bare positive integer (so `--parallel-diff --json f` still works).
       opts.parallel_diff = 8;
       if (i + 1 < argc && argv[i + 1][0] >= '1' && argv[i + 1][0] <= '9' &&
           std::strspn(argv[i + 1], "0123456789") == std::strlen(argv[i + 1])) {
-        opts.parallel_diff = std::stoi(argv[++i]);
+        opts.parallel_diff = static_cast<int>(number(kIntMax));
       }
     } else if (arg == "--quiet") {
       opts.quiet = true;

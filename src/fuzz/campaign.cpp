@@ -86,7 +86,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     if (opts.differential && cases[i].substrate == harness::Substrate::kSync) {
       harness::Scenario d = cases[i];
       d.substrate = harness::Substrate::kDifferential;
-      d.params["socket"] = 1;
+      d.backend = substrate::Backend::kSocket;
       wrapped.push_back(std::move(d));
       flipped[i] = true;
     } else {

@@ -34,7 +34,8 @@ void print_usage(const char* argv0) {
       "  --sim-threads N     round-parallel evaluation inside each simulator run\n"
       "                      (default 1 = serial; reports are byte-identical at\n"
       "                      any value, so this only moves wall clock -- best for\n"
-      "                      one big run, where --jobs has nothing to fan out)\n"
+      "                      one big run, where --jobs has nothing to fan out);\n"
+      "                      N > 1 requires --backend sim\n"
       "  --timing            include wall-clock timing in the JSON report\n"
       "                      (machine-dependent; breaks byte-identity across runs)\n"
       "  --list              list experiments and exit\n"
@@ -90,11 +91,11 @@ int bench_main(int argc, char** argv) {
     } else if (arg == "--backend") {
       const std::string value = next();
       if (value == "live") {
-        opt.backend = Scenario::ForceBackend::kLive;
+        opt.backend = substrate::Backend::kThread;
       } else if (value == "socket") {
-        opt.backend = Scenario::ForceBackend::kSocket;
+        opt.backend = substrate::Backend::kSocket;
       } else if (value == "sim") {
-        opt.backend = Scenario::ForceBackend::kNone;
+        opt.backend = substrate::Backend::kSim;
       } else {
         std::fprintf(stderr, "%s: --backend wants 'sim', 'live' or 'socket', got '%s'\n",
                      argv[0], value.c_str());
@@ -103,9 +104,9 @@ int bench_main(int argc, char** argv) {
     } else if (arg == "--transport") {
       const std::string value = next();
       if (value == "tcp") {
-        opt.transport_tcp = true;
+        opt.transport = substrate::Transport::kTcp;
       } else if (value == "uds") {
-        opt.transport_tcp = false;
+        opt.transport = substrate::Transport::kUds;
       } else {
         std::fprintf(stderr, "%s: --transport wants 'uds' or 'tcp', got '%s'\n", argv[0],
                      value.c_str());
@@ -136,8 +137,13 @@ int bench_main(int argc, char** argv) {
     }
   }
 
-  if (opt.transport_tcp && opt.backend != Scenario::ForceBackend::kSocket) {
+  if (opt.transport == substrate::Transport::kTcp && opt.backend != substrate::Backend::kSocket) {
     std::fprintf(stderr, "%s: --transport requires --backend socket\n", argv[0]);
+    return 2;
+  }
+  if (opt.sim_threads > 1 && opt.backend != substrate::Backend::kSim) {
+    // The live backends run their own executor; N would be ignored.
+    std::fprintf(stderr, "%s: --sim-threads requires --backend sim\n", argv[0]);
     return 2;
   }
   if (opt.list_only) {
@@ -200,16 +206,12 @@ int bench_main(int argc, char** argv) {
       }
       filter_matched_any = true;
     }
-    if (opt.backend != Scenario::ForceBackend::kNone)
-      for (Scenario& s : scenarios)
-        if (s.substrate == Substrate::kSync) {
-          s.force_backend = opt.backend;
-          if (opt.transport_tcp) s.params["transport_tcp"] = 1;
-        }
-    if (opt.sim_threads > 1)
-      for (Scenario& s : scenarios)
-        if (s.substrate == Substrate::kSync && s.force_backend == Scenario::ForceBackend::kNone)
-          s.sim_threads = opt.sim_threads;
+    for (Scenario& s : scenarios)
+      if (s.substrate == Substrate::kSync) {
+        s.backend = opt.backend;
+        s.live.transport = opt.transport;
+        s.sim_threads = opt.sim_threads;
+      }
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ScenarioResult> rows = runner.run(e->name, scenarios);
     const double secs =

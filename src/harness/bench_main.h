@@ -18,20 +18,23 @@ struct BenchOptions {
   bool list_only = false;
   bool quiet = false;   // suppress tables (JSON/e2e timing only)
   bool timing = false;  // include the machine-dependent "timing" JSON key
-  // --backend live|socket: execute every sync scenario on a live substrate
-  // (deterministic barrier schedule) instead of the simulator -- worker
-  // threads (a supervised RoundPool) for live, worker OS processes over
-  // localhost sockets for socket.  The deterministic report is
-  // byte-identical on every backend by the oracle contract -- CI diffs the
-  // JSONs -- and --timing additionally carries units_per_sec.
-  Scenario::ForceBackend backend = Scenario::ForceBackend::kNone;
-  // --transport tcp: the socket backend speaks TCP over 127.0.0.1 instead
-  // of the default Unix-domain sockets.  Only meaningful with
-  // --backend socket (rejected otherwise, to catch typos).
-  bool transport_tcp = false;
+  // --backend sim|live|socket: copied into every sync scenario's
+  // Scenario::backend -- kSim (default), kThread (worker threads on a
+  // supervised RoundPool) or kSocket (worker OS processes over localhost
+  // sockets), the live ones under the deterministic barrier schedule.  The
+  // deterministic report is byte-identical on every backend by the oracle
+  // contract -- CI diffs the JSONs -- and --timing additionally carries
+  // units_per_sec.
+  substrate::Backend backend = substrate::Backend::kSim;
+  // --transport uds|tcp: copied into Scenario::live.transport; tcp speaks
+  // TCP over 127.0.0.1 instead of Unix-domain sockets.  tcp without
+  // --backend socket is rejected (exit 2), to catch typos.
+  substrate::Transport transport = substrate::Transport::kUds;
   // --sim-threads N: round-parallel evaluation inside each simulator run
   // (RoundPool).  Orthogonal to --jobs (scenarios x threads-within-a-run);
   // byte-identical reports at any value, by the ordered-commit contract.
+  // N > 1 on a live backend is rejected (exit 2): its executor would
+  // ignore N.
   int sim_threads = 1;
 };
 

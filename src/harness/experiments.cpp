@@ -674,6 +674,7 @@ std::vector<Scenario> differential_scenarios() {
     auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kDifferential;
+      s.backend = substrate::Backend::kThread;
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
@@ -693,7 +694,8 @@ std::vector<Scenario> differential_scenarios() {
     auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
-      s.params["free_sched"] = 1;
+      s.backend = substrate::Backend::kThread;
+      s.live.schedule = substrate::LiveOptions::Schedule::kFree;
       s.params["assert_bounds"] = 1;
       for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
         s.params[key] = value;
@@ -708,7 +710,7 @@ std::vector<Scenario> differential_scenarios() {
   }
   // Socket-process legs of the same oracle: identical shapes and
   // adversaries, but the non-oracle leg runs one worker OS process per
-  // protocol process (params["socket"] = 1), so crashes are real SIGKILLs
+  // protocol process (Backend::kSocket), so crashes are real SIGKILLs
   // and the barrier crosses a kernel socket.  Group names deliberately use
   // "det-tN"/"free-tN" (no slash after det/free): --filter det/ and
   // --filter free/ keep selecting the thread rows only, --filter socket/
@@ -719,7 +721,7 @@ std::vector<Scenario> differential_scenarios() {
                    FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + name, proto, n, t, std::move(faults));
       s.substrate = Substrate::kDifferential;
-      s.params["socket"] = 1;
+      s.backend = substrate::Backend::kSocket;
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
@@ -733,21 +735,16 @@ std::vector<Scenario> differential_scenarios() {
     add("D", "D", n, FaultSpec::adaptive("greedy", f, /*seed=*/1));
     // One TCP row per shape keeps the 127.0.0.1 transport honest in the
     // same sweep (everything else defaults to Unix-domain sockets).
-    {
-      Scenario s = sync_scenario(ts + "/B-tcp", "B", n, t, chunk_cascade(n, t));
-      s.substrate = Substrate::kDifferential;
-      s.params["socket"] = 1;
-      s.params["transport_tcp"] = 1;
-      out.push_back(std::move(s));
-    }
+    add("B-tcp", "B", n, chunk_cascade(n, t));
+    out.back().live.transport = substrate::Transport::kTcp;
   }
   for (int t : {16, 64}) {
     const std::string ts = "socket/free-t" + std::to_string(t);
     auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
-      s.params["socket"] = 1;
-      s.params["free_sched"] = 1;
+      s.backend = substrate::Backend::kSocket;
+      s.live.schedule = substrate::LiveOptions::Schedule::kFree;
       s.params["assert_bounds"] = 1;
       for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
         s.params[key] = value;
@@ -780,7 +777,10 @@ std::vector<Scenario> live_throughput_scenarios() {
         for (const FaultSpec& faults : {FaultSpec::none(), cascade}) {
           Scenario s = sync_scenario(backend + "/t=" + std::to_string(t) + "/" + proto, proto,
                                      n, t, faults);
-          if (live) s.substrate = Substrate::kLive;
+          if (live) {
+            s.substrate = Substrate::kLive;
+            s.backend = substrate::Backend::kThread;
+          }
           out.push_back(std::move(s));
         }
       }

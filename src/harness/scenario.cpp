@@ -9,7 +9,6 @@
 #include "dynamic/dynamic_d.h"
 #include "sharedmem/write_all.h"
 #include "substrate/differential.h"
-#include "substrate/socket_substrate.h"
 #include "util/strings.h"
 
 namespace dowork::harness {
@@ -83,54 +82,16 @@ RunOptions sync_run_options(const Scenario& s, int rep) {
   return opts;
 }
 
-// Live-substrate knobs the scenario's params can set: the socket backend's
-// transport (params["transport_tcp"] = 1 picks TCP over the UDS default).
-// Harmless on the live backend, which ignores the transport field.
-substrate::LiveOptions scenario_live_options(const Scenario& s) {
-  substrate::LiveOptions live;
-  if (s.param_or("transport_tcp", 0) == 1) live.transport = substrate::Transport::kTcp;
-  return live;
-}
-
 void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
   switch (s.substrate) {
-    case Substrate::kSync: {
-      const RunOptions opts = sync_run_options(s, rep);
-      if (s.force_backend != Scenario::ForceBackend::kNone) {
-        // CLI backend override: same protocol, injector and verifier on a
-        // live substrate's deterministic barrier schedule -- row data must
-        // come out byte-identical to the simulator path below, whether the
-        // workers are threads (kLive) or OS processes (kSocket).
-        substrate::LiveRunResult r =
-            s.force_backend == Scenario::ForceBackend::kSocket
-                ? substrate::run_socket_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                               opts, scenario_live_options(s))
-                : substrate::run_live_do_all(s.protocol, s.cfg, make_injector(s, rep), opts);
-        fill_sync_metrics(r.run.metrics, row);
-        row.ok = r.run.ok();
-        row.violation = r.run.violation;
-        row.units_per_sec = r.stats.units_per_sec;
-        return;
-      }
-      RunResult r = run_do_all(s.protocol, s.cfg, make_injector(s, rep), opts);
-      fill_sync_metrics(r.metrics, row);
-      row.ok = r.ok();
-      row.violation = r.violation;
-      return;
-    }
+    case Substrate::kSync:
     case Substrate::kLive: {
-      substrate::LiveOptions live = scenario_live_options(s);
-      if (s.param_or("free_sched", 0) == 1)
-        live.schedule = substrate::LiveOptions::Schedule::kFree;
-      // params["socket"] = 1 moves the row from worker threads to worker OS
-      // processes; everything else (schedule, kill-point census, verifier)
-      // is substrate-independent.
+      // The same protocol, injector and verifier on whichever backend the
+      // scenario names; a live backend under the deterministic schedule
+      // yields row data byte-identical to the simulator's.
       substrate::LiveRunResult r =
-          s.param_or("socket", 0) == 1
-              ? substrate::run_socket_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                             sync_run_options(s, rep), live)
-              : substrate::run_live_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                           sync_run_options(s, rep), live);
+          substrate::run_on(s.backend, find_protocol(s.protocol), s.cfg, make_injector(s, rep),
+                            sync_run_options(s, rep), s.live);
       fill_sync_metrics(r.run.metrics, row);
       row.ok = r.run.ok();
       row.violation = r.run.violation;
@@ -138,7 +99,7 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       // The kill-point census is plan-derived, hence deterministic under the
       // deterministic schedule; free-schedule rows are nondeterministic
       // anyway (that is their point), so the columns are safe either way.
-      if (r.run.metrics.crashes) {
+      if (s.substrate == Substrate::kLive && r.run.metrics.crashes) {
         row.extra.emplace_back("kill_send", std::to_string(r.stats.kills.send_commit));
         row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills.mid_broadcast));
         row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills.round_barrier));
@@ -146,18 +107,9 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       return;
     }
     case Substrate::kDifferential: {
-      substrate::DiffOptions opts;
-      opts.run = sync_run_options(s, rep);
-      // params["socket"] = 1 makes the non-oracle leg the socket-process
-      // substrate instead of the live backend; the simulator stays the
-      // oracle either way.
-      if (s.param_or("socket", 0) == 1) {
-        opts.live_backend = substrate::Backend::kSocket;
-        if (s.param_or("transport_tcp", 0) == 1)
-          opts.transport = substrate::Transport::kTcp;
-      }
       substrate::DiffResult d = substrate::run_differential(
-          find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); }, opts);
+          find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); },
+          sync_run_options(s, rep), s.backend, s.live);
       // The row reports the sim leg's metrics (either leg would do: a
       // divergence fails the row before anyone reads them).
       fill_sync_metrics(d.sim.metrics, row);

@@ -18,6 +18,7 @@
 
 #include "core/work.h"
 #include "harness/fault_spec.h"
+#include "substrate/substrate.h"
 
 namespace dowork::harness {
 
@@ -25,11 +26,11 @@ namespace dowork::harness {
 // registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord); the
 // others are the paper's model variants with their own simulators -- except
 // the last two, which are *execution* substrates over the same registry
-// protocols: kLive runs the scenario on the live backend (src/substrate/,
-// a supervised RoundPool; params["free_sched"] = 1 selects the free commit
-// schedule), and kDifferential runs it on BOTH
-// backends under the deterministic barrier schedule and fails the row on
-// any metric divergence (the simulator as oracle).
+// protocols: kLive runs the scenario on the live backend Scenario::backend
+// names (under Scenario::live's schedule) and adds kill-point census
+// columns, and kDifferential runs it on the simulator AND that backend
+// under the deterministic barrier schedule and fails the row on any metric
+// divergence (the simulator as oracle).
 enum class Substrate : std::uint8_t {
   kSync, kByzantine, kAsync, kSharedMem, kDynamic, kLive, kDifferential
 };
@@ -70,8 +71,10 @@ struct Scenario {
   // Substrate- and experiment-specific integer knobs (e.g. "max_delay",
   // "fd_delay" for kAsync; "batches", "per_batch", "gap" for kDynamic;
   // "protocol_param" tunes a registry protocol's constructor; "value" is
-  // the Byzantine general's value).  Keys prefixed "bound_" are paper-bound
-  // columns copied verbatim into the result rows for table/JSON output.
+  // the Byzantine general's value).  Where a run executes is never a param:
+  // that is the typed `backend`/`live` pair below.  Keys prefixed "bound_"
+  // are paper-bound columns copied verbatim into the result rows for
+  // table/JSON output.
   // With "assert_bounds" = 1 (the adversary_search family), bound_work* /
   // bound_msgs* / bound_rounds* are additionally *checked* against the
   // measured row (exceeding one is a violation) and reported as
@@ -87,17 +90,17 @@ struct Scenario {
   // recorder or to replace it with a frozen-trace replayer.  Never set by
   // the experiment registry, so every registered scenario is pure data.
   std::function<std::unique_ptr<FaultInjector>(std::uint64_t rep)> injector_override;
-  // CLI hook (dowork_bench --backend live|socket): execute this kSync
-  // scenario on a live substrate under the deterministic barrier schedule
-  // instead of the simulator -- kLive is the live backend, kSocket the
-  // socket-process substrate (one worker OS process per protocol process;
-  // params["transport_tcp"] = 1 selects TCP over the default UDS).  Row
-  // data is byte-identical on every backend (the oracle contract), which
-  // is exactly what the CI sim-vs-live JSON diffs check; only the timing
-  // section's units_per_sec betrays the backend.  Never set by the
-  // experiment registry.
-  enum class ForceBackend : std::uint8_t { kNone, kLive, kSocket };
-  ForceBackend force_backend = ForceBackend::kNone;
+  // Where a registry protocol executes (src/substrate/substrate.h): kSim,
+  // kThread (the live backend's worker threads) or kSocket (one worker OS
+  // process per protocol process).  kSync rows default to kSim and move
+  // only under dowork_bench --backend, with byte-identical row data (the
+  // oracle contract; only the timing section's units_per_sec betrays the
+  // backend).  kLive rows name kThread or kSocket; kDifferential rows name
+  // the non-oracle leg, so kSim there is an error.  `live` carries the
+  // schedule (kFree only on kLive rows), the socket transport and the
+  // deadlines; other substrates ignore both fields.
+  substrate::Backend backend = substrate::Backend::kSim;
+  substrate::LiveOptions live;
   // CLI hook (dowork_bench --sim-threads N): round-parallel evaluation for
   // this kSync scenario's simulator runs (RunOptions::sim_threads).  Byte-
   // identical row data at any value -- the round pool's ordered-commit

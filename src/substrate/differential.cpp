@@ -1,9 +1,7 @@
 #include "substrate/differential.h"
 
 #include <cstddef>
-#include <utility>
-
-#include "substrate/socket_substrate.h"
+#include <stdexcept>
 
 namespace dowork::substrate {
 
@@ -83,18 +81,14 @@ std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live) {
 }
 
 DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts) {
-  DiffResult result;
-  result.sim = run_do_all(info, cfg, make_injector(), opts.run);
-
-  LiveOptions live;
+                            const InjectorFactory& make_injector, const RunOptions& run,
+                            Backend backend, LiveOptions live) {
+  if (backend == Backend::kSim)
+    throw std::invalid_argument("run_differential: the live leg needs a live backend, not sim");
   live.schedule = LiveOptions::Schedule::kDeterministic;
-  live.watchdog_ms = opts.watchdog_ms;
-  live.join_grace_ms = opts.join_grace_ms;
-  live.transport = opts.transport;
-  result.live = opts.live_backend == Backend::kSocket
-                    ? run_socket_do_all(info, cfg, make_injector(), opts.run, live)
-                    : run_live_do_all(info, cfg, make_injector(), opts.run, live);
+  DiffResult result;
+  result.sim = run_do_all(info, cfg, make_injector(), run);
+  result.live = run_on(backend, info, cfg, make_injector(), run, live);
 
   if (!result.sim.ok()) {
     result.divergence = "sim leg failed verification: " + result.sim.violation;
@@ -109,8 +103,9 @@ DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
 }
 
 DiffResult run_differential(const std::string& protocol, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts) {
-  return run_differential(find_protocol(protocol), cfg, make_injector, opts);
+                            const InjectorFactory& make_injector, const RunOptions& run,
+                            Backend backend, LiveOptions live) {
+  return run_differential(find_protocol(protocol), cfg, make_injector, run, backend, live);
 }
 
 }  // namespace dowork::substrate

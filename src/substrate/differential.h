@@ -33,19 +33,6 @@ namespace dowork::substrate {
 // substrate-specific and never compared.
 std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live);
 
-struct DiffOptions {
-  RunOptions run;
-  // Watchdog/join settings for the live leg (schedule is forced to
-  // deterministic; that's the mode with an equality oracle).
-  std::uint64_t watchdog_ms = 10'000;
-  std::uint64_t join_grace_ms = 2'000;
-  // Which live substrate supplies the non-oracle leg: the live backend's
-  // pool threads (default) or worker OS processes over localhost sockets
-  // (socket_substrate.h); transport applies to the latter only.
-  Backend live_backend = Backend::kThread;
-  Transport transport = Transport::kUds;
-};
-
 struct DiffResult {
   RunResult sim;        // the oracle leg
   LiveRunResult live;   // the live-substrate leg (thread or socket)
@@ -53,18 +40,25 @@ struct DiffResult {
   bool ok() const { return divergence.empty(); }
 };
 
-// Runs the case on the simulator, then on the live backend under the
-// deterministic barrier schedule, and checks: sim leg verifies, live leg
-// verifies, metrics equal.  The injector factory is called once per leg and
-// must produce independent injectors with identical deterministic behavior
-// (every FaultSpec::make satisfies this -- specs are pure descriptions and
-// adaptive strategies derive their choices from seed + observed state,
-// which the deterministic schedule makes identical across legs).
+// Runs the case on the simulator, then on `backend` (kThread or kSocket)
+// under the deterministic barrier schedule -- `live.schedule` is forced,
+// since that is the mode with an equality oracle; its deadlines and
+// transport apply -- and checks: sim leg verifies, live leg verifies,
+// metrics equal.  Throws std::invalid_argument for Backend::kSim: a
+// sim-vs-sim pair is a mis-set scenario, not a differential test.
+//
+// The injector factory is called once per leg and must produce independent
+// injectors with identical deterministic behavior (every FaultSpec::make
+// satisfies this -- specs are pure descriptions and adaptive strategies
+// derive their choices from seed + observed state, which the deterministic
+// schedule makes identical across legs).
 using InjectorFactory = std::function<std::unique_ptr<FaultInjector>()>;
 
 DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts = {});
+                            const InjectorFactory& make_injector, const RunOptions& run = {},
+                            Backend backend = Backend::kThread, LiveOptions live = {});
 DiffResult run_differential(const std::string& protocol, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts = {});
+                            const InjectorFactory& make_injector, const RunOptions& run = {},
+                            Backend backend = Backend::kThread, LiveOptions live = {});
 
 }  // namespace dowork::substrate

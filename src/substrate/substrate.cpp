@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "sim/round_pool.h"
+#include "substrate/socket_substrate.h"
 
 namespace dowork::substrate {
 
@@ -92,6 +94,17 @@ LiveRunResult run_live_do_all(const std::string& protocol, const DoAllConfig& cf
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
                               const LiveOptions& live) {
   return run_live_do_all(find_protocol(protocol), cfg, std::move(faults), opts, live);
+}
+
+LiveRunResult run_on(Backend backend, const ProtocolInfo& info, const DoAllConfig& cfg,
+                     std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
+                     const LiveOptions& live) {
+  switch (backend) {
+    case Backend::kSim: return {run_do_all(info, cfg, std::move(faults), opts), {}};
+    case Backend::kThread: return run_live_do_all(info, cfg, std::move(faults), opts, live);
+    case Backend::kSocket: return run_socket_do_all(info, cfg, std::move(faults), opts, live);
+  }
+  throw std::invalid_argument("run_on: bad backend");
 }
 
 }  // namespace dowork::substrate

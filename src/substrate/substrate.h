@@ -21,6 +21,10 @@
 // verifier; under the deterministic schedule the live backends' metrics
 // match the simulator's field for field, which is what makes the sim a
 // differential-testing oracle (substrate/differential.h).
+//
+// Backend and LiveOptions are the whole backend choice: harness Scenarios
+// carry them as typed fields, dowork_bench --backend/--transport sets them,
+// and run_on below is the one place that dispatches on the Backend.
 #pragma once
 
 #include <cstdint>
@@ -96,5 +100,12 @@ LiveRunResult run_live_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
 LiveRunResult run_live_do_all(const std::string& protocol, const DoAllConfig& cfg,
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
                               const LiveOptions& live = {});
+
+// Runs the case on `backend`: run_do_all for kSim (LiveStats stay zero),
+// run_live_do_all for kThread, run_socket_do_all (socket_substrate.h) for
+// kSocket.  `live` is ignored on kSim.
+LiveRunResult run_on(Backend backend, const ProtocolInfo& info, const DoAllConfig& cfg,
+                     std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
+                     const LiveOptions& live = {});
 
 }  // namespace dowork::substrate

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -213,6 +214,48 @@ TEST(Experiments, RegistryIsWellFormed) {
   }
   EXPECT_NE(find_experiment("smoke"), nullptr);
   EXPECT_EQ(find_experiment("no_such_experiment"), nullptr);
+}
+
+TEST(Experiments, EveryRowPinsItsBackend) {
+  // The backend is a typed field that each generator sets; a generator that
+  // dropped one would still pass, on the wrong backend.  So pin every
+  // registry row's choice to its group name: in the differential and
+  // live_throughput families socket/ rows run on worker processes and
+  // det/, free/ and live/ rows on worker threads, -tcp groups speak TCP and
+  // free groups use the free schedule; everything else is a plain
+  // deterministic simulator row.
+  using substrate::Backend;
+  using substrate::Transport;
+  using Schedule = substrate::LiveOptions::Schedule;
+  std::map<Backend, int> rows_on;
+  int tcp_rows = 0, free_rows = 0;
+  for (const ExperimentInfo& e : all_experiments()) {
+    const bool live_family = e.name == "differential" || e.name == "live_throughput";
+    for (const Scenario& s : e.scenarios()) {
+      const std::string& g = s.group;
+      Backend want = Backend::kSim;
+      if (live_family && g.starts_with("socket/"))
+        want = Backend::kSocket;
+      else if (live_family &&
+               (g.starts_with("det/") || g.starts_with("free/") || g.starts_with("live/")))
+        want = Backend::kThread;
+      const bool tcp = live_family && g.ends_with("-tcp");
+      const bool free =
+          live_family && (g.starts_with("free/") || g.starts_with("socket/free-"));
+      EXPECT_EQ(s.backend, want) << e.name << " " << s.id;
+      EXPECT_EQ(s.live.transport, tcp ? Transport::kTcp : Transport::kUds)
+          << e.name << " " << s.id;
+      EXPECT_EQ(s.live.schedule, free ? Schedule::kFree : Schedule::kDeterministic)
+          << e.name << " " << s.id;
+      ++rows_on[s.backend];
+      tcp_rows += tcp;
+      free_rows += free;
+    }
+  }
+  EXPECT_GT(rows_on[Backend::kThread], 0);
+  EXPECT_GT(rows_on[Backend::kSocket], 0);
+  EXPECT_GT(tcp_rows, 0);
+  EXPECT_GT(free_rows, 0);
 }
 
 // --- parallel runner --------------------------------------------------------

@@ -12,10 +12,12 @@
 // worker loop instead of re-running the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runner.h"
@@ -37,10 +39,10 @@ void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, 
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  DiffOptions opts;
-  opts.live_backend = Backend::kSocket;
-  opts.transport = transport;
-  DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); }, opts);
+  LiveOptions live;
+  live.transport = transport;
+  DiffResult d =
+      run_differential(protocol, cfg, [&] { return spec.make(); }, {}, Backend::kSocket, live);
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string() << " transport " << to_string(transport);
   EXPECT_FALSE(d.live.stats.leaked);
@@ -166,6 +168,31 @@ TEST(SocketSubstrateTest, KillPointCensusEqualAcrossExecutors) {
   EXPECT_EQ(serial.total(), sock.run.metrics.crashes);
 }
 
+TEST(SocketSubstrateTest, RunOnDispatchesToTheNamedBackend) {
+  // run_on is the one backend dispatch; each leg's worker count shows which
+  // executor ran: one OS process per protocol process on kSocket, one
+  // thread per core (never more than t) on kThread, none on kSim.  All
+  // three produce the same verified metrics.
+  DoAllConfig cfg;
+  cfg.n = 64;
+  cfg.t = 8;
+  const ProtocolInfo& info = find_protocol("B");
+  const FaultSpec spec = chunk_cascade(cfg.n, cfg.t);
+  const LiveRunResult sim = run_on(Backend::kSim, info, cfg, spec.make());
+  const LiveRunResult thread = run_on(Backend::kThread, info, cfg, spec.make());
+  const LiveRunResult sock = run_on(Backend::kSocket, info, cfg, spec.make());
+  ASSERT_EQ(sim.run.violation, "");
+  ASSERT_EQ(thread.run.violation, "");
+  ASSERT_EQ(sock.run.violation, "");
+  EXPECT_EQ(sim.stats.threads, 0);
+  EXPECT_EQ(sim.stats.units_per_sec, 0);
+  EXPECT_EQ(thread.stats.threads,
+            std::min(cfg.t, std::max(1, static_cast<int>(std::thread::hardware_concurrency()))));
+  EXPECT_EQ(sock.stats.threads, cfg.t);
+  EXPECT_EQ(compare_metrics(sim.run.metrics, thread.run.metrics), "");
+  EXPECT_EQ(compare_metrics(sim.run.metrics, sock.run.metrics), "");
+}
+
 TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
   // Script a deliver_prefix=1 crash onto a multi-recipient broadcast: the
   // worker flushes a torn frame prefix before SIGKILLing itself, and the
@@ -183,9 +210,7 @@ TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
     e.plan.deliver_prefix = 1;
     const FaultSpec spec = FaultSpec::scheduled({e});
     DoAllConfig c = cfg;
-    DiffOptions opts;
-    opts.live_backend = Backend::kSocket;
-    DiffResult d = run_differential("B", c, [&] { return spec.make(); }, opts);
+    DiffResult d = run_differential("B", c, [&] { return spec.make(); }, {}, Backend::kSocket);
     ASSERT_EQ(d.divergence, "") << "nth=" << nth;
     saw_mid_broadcast = d.live.stats.kills.mid_broadcast > 0;
   }

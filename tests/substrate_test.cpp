@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,17 @@ TEST(SubstrateTest, LiveWorkersCappedAtHardwareConcurrency) {
 TEST(SubstrateTest, BackendNames) {
   EXPECT_STREQ(to_string(Backend::kSim), "sim");
   EXPECT_STREQ(to_string(Backend::kThread), "thread");
+}
+
+TEST(SubstrateTest, DifferentialRejectsTheSimBackend) {
+  // The live leg of a differential pair must be a live backend: sim vs sim
+  // compares the oracle with itself, so it is refused, not silently passed.
+  DoAllConfig cfg;
+  cfg.n = 16;
+  cfg.t = 4;
+  EXPECT_THROW(run_differential("A", cfg, [] { return FaultSpec::none().make(); }, {},
+                                Backend::kSim),
+               std::invalid_argument);
 }
 
 TEST(SubstrateTest, ProtocolDNullFoldConstructionIsObservablyIdentical) {
